@@ -12,13 +12,10 @@ broadcasting, shape changes go through explicit ops (``repeat``, ``reshape``,
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-_ids = itertools.count()
 _grad_enabled = True
 _check_finite = False
 
@@ -56,7 +53,7 @@ class Tensor:
     ``make_op`` and carry their parents and a backward closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -69,7 +66,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._bwd = None
-        self._id = next(_ids)
 
     @property
     def shape(self):
@@ -140,7 +136,6 @@ def make_op(data: np.ndarray, parents: tuple, bwd) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._id = next(_ids)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -218,9 +213,6 @@ class Tape:
         for t in self.params.values():
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        return {name: t.grad for name, t in self.params.items()}
 
 
 def _check_same(a: Tensor, b: Tensor, opname: str) -> None:

@@ -230,8 +230,7 @@ def _cmd_eval(args) -> int:
         if pair.gt is None:
             continue
         d_l = read_pfm(_require_file(pred / f"{i:04d}_dl.pfm", "prediction"))
-        dr_path = pred / f"{i:04d}_dr.pfm"
-        d_r = read_pfm(dr_path) if dr_path.is_file() else d_l
+        d_r = read_pfm(_require_file(pred / f"{i:04d}_dr.pfm", "prediction"))
         entries.append((pair, d_l, d_r))
     report = evaluate(entries, margin=_margin(cfg))
     print(report.to_text())

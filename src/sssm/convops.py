@@ -1,8 +1,22 @@
 """Convolution primitives: 2D, 3D, and transposed 3D.
 
-All three lower to one GEMM via an im2col gather, which is the only way to
-get usable throughput out of numpy.  The gather/scatter loops run over
-kernel offsets (9 or 27 strided block copies), never over pixels.
+All three are built from one shift-and-GEMM correlation.  The input is
+zero-padded once and split into stride^S phases (a single phase at stride
+1), each flattened to (rows, C).  Within a flattened phase every kernel
+offset is a fixed row shift, so each tap is one GEMM on a contiguous row
+range of a view.  Results are computed on the whole phase grid; rows that
+fall off the true output are dropped in forward and held at zero in
+backward.  The loops run over kernel offsets (9 or 27), never over pixels.
+
+Three helpers serve every direction: ``_correlate`` (forward),
+``_correlate_weight`` (weight gradient, a sum of ``view.T @ g`` GEMMs) and
+``_correlate_input`` (input gradient, ``g @ W_tap.T`` GEMMs added into
+shifted row ranges).  ``deconv3d``'s forward is ``_correlate_input`` and its
+backward is the other two, so it is the adjoint of stride-2 ``conv3d`` by
+construction.  Backward keeps only the padded input phases, about 1x the
+input, and only when the kernel needs a gradient.  Where the phase side has
+few channels the per-tap GEMMs degenerate, so the helpers stack the shifted
+row ranges into one small transient column matrix instead (``_per_tap``).
 
 Data layouts: images are (H, W, C), volumes are (H, W, D, C).  2D kernels
 are (k, k, Cin, Cout) indexed (dy, dx, cin, cout); 3D kernels are
@@ -40,48 +54,138 @@ def _conv_geometry(spatial, k, stride, padding):
     return geo
 
 
-def _offsets(j: int, k: int, s: int) -> list[int]:
-    """Decode flat kernel offset j into s per-axis displacements (C order)."""
-    offs = []
-    for power in range(s - 1, -1, -1):
-        q, j = divmod(j, k ** power)
-        offs.append(q)
-    return offs
+class _Grid:
+    """Where each kernel tap reads in the flattened phases of a padded input.
 
-
-def _im2col(xp: np.ndarray, k: int, stride: int, out_dims) -> np.ndarray:
-    """Gather kernel windows of a padded array into (prod(out), k^S * C).
-
-    ``xp`` has S spatial axes plus a trailing channel axis.  Column j of the
-    flattened kernel enumerates spatial displacements in C order, matching
-    kernel.reshape(k**S * C, -1).  One strided view + one copy; no per-offset
-    loop.
+    Phase r holds padded positions m * stride + r, so tap a reads phase
+    a % stride at grid offset a // stride: one row shift per tap.  Output n
+    sits at grid row ravel(n); ``span`` rows cover every output, and every
+    tap's shifted range of ``span`` rows stays inside the phase.
     """
-    s = len(out_dims)
-    c = xp.shape[-1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k,) * s, axis=tuple(range(s)))
-    sub = win[tuple(slice(None, stride * n, stride) for n in out_dims)]
-    order = tuple(range(s)) + tuple(range(s + 1, 2 * s + 1)) + (s,)
-    cols = np.ascontiguousarray(sub.transpose(order))
-    return cols.reshape(int(np.prod(out_dims)), k ** s * c)
+
+    def __init__(self, spatial, k: int, stride: int, padding: str):
+        nd = len(spatial)
+        self.spatial = tuple(spatial)
+        self.stride = stride
+        geo = _conv_geometry(spatial, k, stride, padding)
+        self.out = tuple(g[0] for g in geo)
+        self.pads = [g[1] for g in geo]
+        self.grid = tuple(-(-(n + pb + pa) // stride) for n, (_, pb, pa) in zip(spatial, geo))
+        self.rows = int(np.prod(self.grid))
+        self.span = int(np.ravel_multi_index([o - 1 for o in self.out], self.grid)) + 1
+        self.taps = [
+            (int(np.ravel_multi_index([i % stride for i in a], (stride,) * nd)),
+             int(np.ravel_multi_index([i // stride for i in a], self.grid)))
+            for a in np.ndindex(*(k,) * nd)
+        ]
+
+    def _phase_slices(self, r):
+        """(source, destination) slices moving input samples into phase r."""
+        src, dst = [], []
+        for n, pb, ri in zip(self.spatial, self.pads, r):
+            first = -(-(pb - ri) // self.stride)
+            start = first * self.stride + ri - pb
+            src.append(slice(start, n, self.stride))
+            dst.append(slice(first, first + len(range(start, n, self.stride))))
+        return tuple(src), tuple(dst)
+
+    def phases(self, x: np.ndarray) -> np.ndarray:
+        """Zero-padded ``x`` split into phases, (stride^S, rows, C), in one copy."""
+        nd = len(self.spatial)
+        ph = np.zeros((self.stride ** nd,) + self.grid + x.shape[-1:], dtype=x.dtype)
+        for p, r in enumerate(np.ndindex(*(self.stride,) * nd)):
+            src, dst = self._phase_slices(r)
+            ph[(p,) + dst] = x[src]
+        return ph.reshape(self.stride ** nd, self.rows, x.shape[-1])
+
+    def unphase(self, ph: np.ndarray) -> np.ndarray:
+        """Adjoint of ``phases``: the input-shaped part of phase arrays."""
+        nd = len(self.spatial)
+        ph = ph.reshape((-1,) + self.grid + ph.shape[-1:])
+        x = np.empty(self.spatial + ph.shape[-1:], dtype=ph.dtype)
+        for p, r in enumerate(np.ndindex(*(self.stride,) * nd)):
+            src, dst = self._phase_slices(r)
+            x[src] = ph[(p,) + dst]
+        return x
+
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """Output-shaped ``y`` as (rows, C) grid rows, zero off the output."""
+        rows = np.zeros(self.grid + y.shape[-1:], dtype=y.dtype)
+        rows[tuple(slice(o) for o in self.out)] = y
+        return rows.reshape(self.rows, -1)
+
+    def extract(self, rows: np.ndarray) -> np.ndarray:
+        """The output-shaped view of (rows, C) grid rows."""
+        return rows.reshape(self.grid + rows.shape[-1:])[tuple(slice(o) for o in self.out)]
 
 
-def _col2im(gcols: np.ndarray, padded_shape, k: int, stride: int, out_dims) -> np.ndarray:
-    """Adjoint of ``_im2col``: scatter-add columns back onto the padded array."""
-    s = len(out_dims)
-    c = padded_shape[-1]
-    g = gcols.reshape(tuple(out_dims) + (k ** s, c))
-    xp = np.zeros(padded_shape, dtype=gcols.dtype)
-    for j in range(k ** s):
-        offs = _offsets(j, k, s)
-        dst = tuple(slice(o, o + stride * out_dims[i], stride) for i, o in enumerate(offs))
-        xp[dst + (slice(None),)] += g[..., j, :]
-    return xp
+def _columns(ph: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Every tap's shifted row range, transposed and stacked: (taps * C, span)."""
+    n, c = grid.span, ph.shape[-1]
+    cols = np.empty((len(grid.taps) * c, n), dtype=ph.dtype)
+    for j, (p, shift) in enumerate(grid.taps):
+        cols[j * c:(j + 1) * c] = ph[p, shift:shift + n].T
+    return cols
 
 
-def _unpad(xp: np.ndarray, geo) -> np.ndarray:
-    slices = tuple(slice(pb, xp.shape[i] - pa) for i, (_, pb, pa) in enumerate(geo))
-    return xp[slices + (slice(None),)]
+def _per_tap(c: int, other: int) -> bool:
+    """Sum per-tap GEMMs over views, or build the transient column matrix.
+
+    A tap GEMM contracts or produces the phase side's C channels, so at
+    small C it degenerates to an outer product or a matrix-vector product.
+    The (taps * C, span) column matrix is then small, and one GEMM on it is
+    cheaper.  Wide C keeps the per-tap form, which copies nothing.
+    """
+    return 2 * c > other
+
+
+def _correlate(ph: np.ndarray, w: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Forward: (rows, Cout) grid rows of sum_taps phase_view @ w[tap].
+
+    ``w`` is (taps, C, Cout).  Rows at and beyond ``span`` stay zero.
+    """
+    n, cout = grid.span, w.shape[2]
+    out = np.zeros((grid.rows, cout), dtype=ph.dtype)
+    if not _per_tap(w.shape[1], cout):
+        np.matmul(_columns(ph, grid).T, w.reshape(-1, cout), out=out[:n])
+        return out
+    tmp = np.empty((n, cout), dtype=ph.dtype)
+    for j, (p, shift) in enumerate(grid.taps):
+        out[:n] += np.matmul(ph[p, shift:shift + n], w[j], out=tmp)
+    return out
+
+
+def _correlate_weight(ph: np.ndarray, g: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Weight gradient, (taps, C, Cout): per tap, phase_view.T @ g.
+
+    ``g`` is the output gradient as grid rows, zero off the output.
+    """
+    n = grid.span
+    if not _per_tap(ph.shape[-1], g.shape[-1]):
+        return (_columns(ph, grid) @ g[:n]).reshape(len(grid.taps), ph.shape[-1], -1)
+    gw = np.empty((len(grid.taps), ph.shape[-1], g.shape[-1]), dtype=g.dtype)
+    for j, (p, shift) in enumerate(grid.taps):
+        np.matmul(ph[p, shift:shift + n].T, g[:n], out=gw[j])
+    return gw
+
+
+def _correlate_input(g: np.ndarray, w: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Input gradient as phases: g @ w[tap].T added into each tap's row range.
+
+    ``g`` is the output gradient as grid rows, zero off the output; ``w``
+    is (taps, C, Cout).  Returns (stride^S, rows, C).
+    """
+    n, c = grid.span, w.shape[1]
+    gph = np.zeros((grid.stride ** len(grid.spatial), grid.rows, c), dtype=g.dtype)
+    if not _per_tap(c, w.shape[2]):
+        gcols = w.reshape(-1, w.shape[2]) @ g[:n].T
+        for j, (p, shift) in enumerate(grid.taps):
+            gph[p, shift:shift + n] += gcols[j * c:(j + 1) * c].T
+        return gph
+    tmp = np.empty((n, c), dtype=g.dtype)
+    for j, (p, shift) in enumerate(grid.taps):
+        gph[p, shift:shift + n] += np.matmul(g[:n], w[j].T, out=tmp)
+    return gph
 
 
 def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str, nd: int) -> Tensor:
@@ -93,27 +197,20 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str,
         raise ValueError(f"conv: bias shape {bias.data.shape} != ({cout},)")
     if x.data.dtype != kernel.data.dtype:
         raise ValueError(f"conv: dtype mismatch {x.data.dtype} vs {kernel.data.dtype}")
-    spatial = x.data.shape[:-1]
-    geo = _conv_geometry(spatial, k, stride, padding)
-    out_dims = [g[0] for g in geo]
-    pads = tuple((g[1], g[2]) for g in geo) + ((0, 0),)
-    xp = np.pad(x.data, pads)
-    cols = _im2col(xp, k, stride, out_dims)
-    wmat = kernel.data.reshape(k ** nd * cin, cout)
-    out = cols @ wmat + bias.data
-    out_data = out.reshape(tuple(out_dims) + (cout,))
-    needs_cols = kernel.requires_grad
-    cached_cols = cols if needs_cols else None
+    grid = _Grid(x.data.shape[:-1], k, stride, padding)
+    w = kernel.data.reshape(k ** nd, cin, cout)
+    ph = grid.phases(x.data)
+    out_data = grid.extract(_correlate(ph, w, grid)) + bias.data
+    cached = ph if kernel.requires_grad else None
 
     def bwd(g):
-        gmat = g.reshape(-1, cout)
+        grows = grid.embed(g)
         if kernel.requires_grad:
-            accumulate(kernel, (cached_cols.T @ gmat).reshape(kernel.data.shape))
+            accumulate(kernel, _correlate_weight(cached, grows, grid).reshape(kernel.data.shape))
         if bias.requires_grad:
-            accumulate(bias, gmat.sum(axis=0))
+            accumulate(bias, g.reshape(-1, cout).sum(axis=0))
         if x.requires_grad:
-            gxp = _col2im(gmat @ wmat.T, xp.shape, k, stride, out_dims)
-            accumulate(x, _unpad(gxp, geo))
+            accumulate(x, grid.unphase(_correlate_input(grows, w, grid)))
 
     return make_op(out_data, (x, kernel, bias), bwd)
 
@@ -175,24 +272,18 @@ def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"deconv3d: input has {y.data.shape[-1]} channels, kernel expects {cout}")
     if bias.data.shape != (cin,):
         raise ValueError(f"deconv3d: bias shape {bias.data.shape} != ({cin},)")
-    stride = 2
-    small = y.data.shape[:3]
-    big = tuple(2 * n for n in small)
-    geo = _conv_geometry(big, k, stride, "same")
-    assert tuple(g[0] for g in geo) == small
-    padded_shape = tuple(n + g[1] + g[2] for n, g in zip(big, geo)) + (cin,)
-    wmat = kernel.data.reshape(k ** 3 * cin, cout)
-    ymat = y.data.reshape(-1, cout)
-    out_data = np.ascontiguousarray(_unpad(_col2im(ymat @ wmat.T, padded_shape, k, stride, small), geo))
+    grid = _Grid(tuple(2 * n for n in y.data.shape[:3]), k, 2, "same")
+    w = kernel.data.reshape(k ** 3, cin, cout)
+    out_data = grid.unphase(_correlate_input(grid.embed(y.data), w, grid))
     out_data += bias.data
 
     def bwd(g):
-        gp = np.pad(g, tuple((gg[1], gg[2]) for gg in geo) + ((0, 0),))
-        gcols = _im2col(gp, k, stride, small)
+        gph = grid.phases(g)
         if y.requires_grad:
-            accumulate(y, (gcols @ wmat).reshape(y.data.shape))
+            accumulate(y, grid.extract(_correlate(gph, w, grid)))
         if kernel.requires_grad:
-            accumulate(kernel, (gcols.T @ ymat).reshape(kernel.data.shape))
+            gw = _correlate_weight(gph, grid.embed(y.data), grid)
+            accumulate(kernel, gw.reshape(kernel.data.shape))
         if bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 1, 2)))
 

@@ -152,8 +152,9 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
                margin: int) -> tuple[LossReport, np.ndarray, np.ndarray]:
     """One optimisation step on one pair; returns the report and predictions.
 
-    Raises NonFiniteLossError before touching the weights if any loss term
-    is NaN or infinite.
+    Raises NonFiniteLossError if any loss term is NaN or infinite, and
+    FloatingPointError naming the first parameter whose gradient is; both
+    are raised before the weights or the RMSProp state are touched.
     """
     i = opt.iteration
     weights.tape.zero_grad()
@@ -165,6 +166,9 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
     if not all(np.isfinite(v) for v in values):
         raise NonFiniteLossError(i, report)
     weights.tape.backward(total)
+    for name, t in weights.named().items():
+        if not np.isfinite(t.grad).all():
+            raise FloatingPointError(f"non-finite gradient for {name} at iteration {i}")
     opt.step(weights, cfg.lr_at(i))
     opt.iteration = i + 1
     return report, d_l.data, d_r.data

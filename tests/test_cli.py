@@ -159,6 +159,18 @@ class TestInferEvalFlow:
         assert csv[0].startswith("pairs,")
         assert csv[1].startswith("2,")
 
+    def test_eval_missing_right_map_exits_1_naming_file(self, micro_env, tmp_path):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for i in range(2):
+            imageio.write_pfm(pred / f"{i:04d}_dl.pfm", np.zeros((24, 40), np.float32))
+        imageio.write_pfm(pred / "0001_dr.pfm", np.zeros((24, 40), np.float32))
+        result = run_cli("eval", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--pred", str(pred), "--config", str(micro_env / "micro.cfg"))
+        assert result.returncode == 1
+        assert "0000_dr.pfm" in result.stderr
+        assert result.stderr.startswith("error:")
+
     def test_adapt_writes_predictions_and_weights(self, micro_env, tmp_path):
         out = tmp_path / "adapted"
         result = run_cli("adapt", "--manifest", str(micro_env / "data" / "manifest.txt"),

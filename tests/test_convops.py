@@ -1,5 +1,7 @@
 """Convolution kernels against brute-force and adjoint oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ def brute_conv3d(x, w, b, stride=1):
     return out
 
 
+def _check_backward_is_adjoint(op, x, w, **kw):
+    """Backward against the forward it differentiates: with zero bias the op
+    is linear in x and in w, so <op(x, w), g> == <x, dx> == <w, dw>."""
+    rng = np.random.default_rng(x.size)
+    xt, wt = t64(x, requires_grad=True), t64(w, requires_grad=True)
+    out = op(xt, wt, t64(np.zeros(w.shape[-1])), **kw)
+    g = rng.standard_normal(out.data.shape)
+    out._bwd(g)
+    lhs = float((out.data * g).sum())
+    for t in (xt, wt):
+        assert abs(lhs - float((t.data * t.grad).sum())) <= 1e-9 * max(1.0, abs(lhs))
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -72,14 +87,23 @@ class TestConv2d:
         assert out[0, 0] == 4.0
         assert out[0, 2] == 6.0
 
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (3, "same")])
-    def test_matches_brute_force(self, stride, padding):
-        rng = np.random.default_rng(stride * 10 + len(padding))
-        x = rng.standard_normal((7, 9, 2))
-        w = rng.standard_normal((3, 3, 2, 4))
-        b = rng.standard_normal(4)
+    @pytest.mark.parametrize("seed,stride,padding,cin,cout", [
+        pytest.param(14, 1, "same", 2, 4, id="1-same"),
+        pytest.param(24, 2, "same", 2, 4, id="2-same"),
+        pytest.param(15, 1, "valid", 2, 4, id="1-valid"),
+        pytest.param(34, 3, "same", 2, 4, id="3-same"),
+        pytest.param(25, 2, "valid", 2, 4, id="2-valid"),
+        pytest.param(40, 2, "same", 5, 3, id="2-same-5to3"),
+        pytest.param(41, 3, "valid", 4, 1, id="3-valid-4to1"),
+    ])
+    def test_matches_brute_force(self, seed, stride, padding, cin, cout):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((7, 9, cin))
+        w = rng.standard_normal((3, 3, cin, cout))
+        b = rng.standard_normal(cout)
         out = conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, brute_conv2d(x, w, b, stride, padding), atol=1e-12)
+        _check_backward_is_adjoint(conv2d, x, w, stride=stride, padding=padding)
 
     def test_same_stride1_preserves_dims(self):
         out = conv2d(t64(np.zeros((6, 11, 2))), t64(np.zeros((5, 5, 2, 3))), t64(np.zeros(3)))
@@ -113,14 +137,41 @@ class TestConv3d:
                      t64(np.zeros(5)), stride=2)
         assert out.data.shape == (4, 4, 4, 5)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_brute_force(self, stride):
-        rng = np.random.default_rng(stride)
-        x = rng.standard_normal((4, 6, 4, 2))
-        w = rng.standard_normal((3, 3, 3, 2, 3))
-        b = rng.standard_normal(3)
+    @pytest.mark.parametrize("seed,stride,cin,cout", [
+        pytest.param(1, 1, 2, 3, id="1"),
+        pytest.param(2, 2, 2, 3, id="2"),
+        pytest.param(3, 1, 1, 1, id="1-1to1"),
+        pytest.param(4, 2, 1, 4, id="2-1to4"),
+        pytest.param(5, 2, 4, 1, id="2-4to1"),
+        pytest.param(6, 2, 5, 3, id="2-5to3"),
+    ])
+    def test_matches_brute_force(self, seed, stride, cin, cout):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 6, 4, cin))
+        w = rng.standard_normal((3, 3, 3, cin, cout))
+        b = rng.standard_normal(cout)
         out = conv3d(t64(x), t64(w), t64(b), stride=stride)
         np.testing.assert_allclose(out.data, brute_conv3d(x, w, b, stride), atol=1e-12)
+        _check_backward_is_adjoint(conv3d, x, w, stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_node_holds_at_most_twice_the_padded_input(self, stride):
+        # Backward needs the input only for the weight gradient; a node that
+        # kept a k^3 * Cin wide column matrix would hold 27x (3.4x at stride 2).
+        rng = np.random.default_rng(stride)
+        x = Tensor(rng.standard_normal((16, 16, 8, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, np.float32), requires_grad=True)
+        padded = np.pad(x.data, ((1, 1), (1, 1), (1, 1), (0, 0))).nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv3d(x, w, b, stride=stride)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= 2 * padded
 
     def test_stride2_requires_even_dims(self):
         with pytest.raises(ValueError):
@@ -139,11 +190,15 @@ class TestDeconv3d:
                        t64(np.zeros(2)))
         assert out.data.shape == (8, 8, 8, 2)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_adjoint_identity(self, seed):
+    @pytest.mark.parametrize("seed,cin,cout", [
+        *(pytest.param(seed, 3, 2, id=str(seed)) for seed in range(4)),
+        pytest.param(4, 1, 4, id="4-1to4"),
+        pytest.param(5, 1, 1, id="5-1to1"),
+        pytest.param(6, 4, 1, id="6-4to1"),
+    ])
+    def test_adjoint_identity(self, seed, cin, cout):
         # <conv3d(x), y> == <x, deconv3d(y)> with shared kernel, zero bias
         rng = np.random.default_rng(seed)
-        cin, cout = 3, 2
         x = rng.standard_normal((4, 6, 4, cin))
         y = rng.standard_normal((2, 3, 2, cout))
         w = rng.standard_normal((3, 3, 3, cin, cout))

@@ -203,6 +203,29 @@ class TestTrainStep:
         for n, t in weights.named().items():
             np.testing.assert_array_equal(t.data, before[n])
 
+    def test_non_finite_gradient_raises_before_update(self, monkeypatch):
+        # A finite loss can still backpropagate a NaN, so poison two
+        # gradients after backward and expect the earlier one to be named.
+        weights = init_weights(MICRO, seed=0)
+        names = list(weights.named())
+        backward = weights.tape.backward
+
+        def poisoned_backward(loss):
+            backward(loss)
+            for name in (names[3], names[5]):
+                weights.named()[name].grad.reshape(-1)[0] = np.nan
+
+        monkeypatch.setattr(weights.tape, "backward", poisoned_backward)
+        pair = _micro_pairs(1)[0]
+        before = {n: t.data.copy() for n, t in weights.named().items()}
+        opt = OptimizerState.fresh(weights)
+        with pytest.raises(FloatingPointError, match=names[3]):
+            train_step(weights, pair.left, pair.right, _micro_cfg(), LossWeights(), opt, margin=4)
+        assert opt.iteration == 0
+        for n, t in weights.named().items():
+            np.testing.assert_array_equal(t.data, before[n])
+            np.testing.assert_array_equal(opt.acc[n], 0.0)
+
 
 class TestTrainFromScratch:
     def test_log_has_one_row_per_iteration(self, tmp_path):
