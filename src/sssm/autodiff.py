@@ -148,12 +148,17 @@ def make_op(data: np.ndarray, parents: tuple, bwd) -> Tensor:
 
 
 def accumulate(t: Tensor, g) -> None:
-    """Add ``g`` into ``t.grad``, copying on first touch to avoid aliasing."""
+    """Add ``g`` into ``t.grad``.
+
+    Gradients are read-only by convention: the first one is taken without a
+    copy (it may alias an upstream buffer or another tensor's gradient) and
+    later ones are added out of place, so no gradient buffer is mutated.
+    """
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.array(g, dtype=t.data.dtype)
+            t.grad = np.asarray(g, dtype=t.data.dtype)
         else:
-            t.grad += g
+            t.grad = t.grad + g
 
 
 def backward(loss: Tensor) -> None:

@@ -84,6 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
+    from dataclasses import replace
+
     from .config import RunConfig, load_run_config
 
     cfg = RunConfig.toy() if getattr(args, "toy", False) else RunConfig.default()
@@ -91,10 +93,7 @@ def _load_config(args):
         cfg = load_run_config(args.config, base=cfg)
     seed = getattr(args, "seed", None)
     if seed is not None:
-        from dataclasses import replace
-
-        cfg = RunConfig(net=cfg.net, train=replace(cfg.train, seed=seed),
-                        loss=cfg.loss, border_margin=cfg.border_margin)
+        cfg = replace(cfg, train=replace(cfg.train, seed=seed))
     return cfg
 
 
@@ -157,9 +156,8 @@ def _adapt_stream(manifest, iterations):
 def _cmd_adapt(args) -> int:
     from .data import DatasetManifest
     from .imageio import write_pfm
-    from .losses import reconstruction_error
     from .network import init_weights
-    from .training import LOG_COLUMNS, LossLog, load_weights, online_adapt, save_weights
+    from .training import LossLog, load_weights, online_adapt, save_weights
 
     cfg = _load_config(args)
     manifest = DatasetManifest.load(args.manifest)
@@ -168,24 +166,13 @@ def _cmd_adapt(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     logger = LossLog(out / "adapt_log.csv")
-    margin = _margin(cfg)
-    current = {}
+    stream = _adapt_stream(manifest, args.iterations)
     steps = 0
-
-    def stream():
-        for pair in _adapt_stream(manifest, args.iterations):
-            current["pair"] = pair
-            yield pair
-
     try:
-        for result in online_adapt(weights, stream(), cfg.train, cfg.loss, margin=margin):
+        for result in online_adapt(weights, stream, cfg.train, cfg.loss, margin=_margin(cfg)):
             write_pfm(out / f"{result.index:04d}_dl.pfm", result.d_left)
             write_pfm(out / f"{result.index:04d}_dr.pfm", result.d_right)
-            pair = current["pair"]
-            warp_err = reconstruction_error(pair.left, pair.right, result.d_left, result.d_right, margin)
-            row = {"iteration": result.index, "lr": cfg.train.lr_at(result.index),
-                   "total": result.report.total, **result.report.terms(), "warp_error": warp_err}
-            logger.append({c: row[c] for c in LOG_COLUMNS})
+            logger.record(result.index, cfg.train.lr_at(result.index), result.report, result.warp_error)
             steps += 1
     finally:
         logger.close()

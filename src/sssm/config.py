@@ -8,42 +8,22 @@ means "use the disparity search range".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .losses import LossWeights
 from .network import NetConfig
 from .training import TrainConfig
 
-_NET_KEYS = {
-    "feature_layers": int,
-    "feature_dim": int,
-    "kernel": int,
-    "skip_every": int,
-    "disparity_range": int,
-    "restdm_scales": int,
-}
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "dropped_learning_rate": float,
-    "lr_drop_iteration": int,
-    "max_iterations": int,
-    "crop_height": int,
-    "crop_width": int,
-    "smooth_scratch": float,
-    "smooth_converged": float,
-    "smooth_switch_iteration": int,
-    "seed": int,
-    "checkpoint_every": int,
-}
-_LOSS_KEYS = {
-    "w_photo": float,
-    "w_consistency": float,
-    "w_mdh": float,
-    "lam_ssim": float,
-    "lam_l1": float,
-    "lam_grad": float,
-}
+
+def _keys(section: str, cls, skip=()) -> dict:
+    """``key -> (RunConfig section, parser)``; a key parses as its default's type."""
+    return {f.name: (section, type(f.default)) for f in fields(cls) if f.name not in skip}
+
+
+# w_smooth has no key: the trainer schedules it (smooth_scratch, smooth_converged).
+_KEYS = {**_keys("net", NetConfig), **_keys("train", TrainConfig),
+         **_keys("loss", LossWeights, skip=("w_smooth",))}
 
 
 @dataclass
@@ -70,7 +50,7 @@ class RunConfig:
 def parse_run_config(text: str, base: RunConfig | None = None, source: str = "config") -> RunConfig:
     """Apply ``key = value`` lines on top of ``base`` (default: defaults)."""
     cfg = base or RunConfig.default()
-    net_kw, train_kw, loss_kw = {}, {}, {}
+    kw = {section: {} for section, _ in _KEYS.values()}
     margin = cfg.border_margin
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,26 +60,17 @@ def parse_run_config(text: str, base: RunConfig | None = None, source: str = "co
         if not sep or not key or not value:
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         try:
-            if key in _NET_KEYS:
-                net_kw[key] = _NET_KEYS[key](value)
-            elif key in _TRAIN_KEYS:
-                train_kw[key] = _TRAIN_KEYS[key](value)
-            elif key in _LOSS_KEYS:
-                loss_kw[key] = _LOSS_KEYS[key](value)
-            elif key == "border_margin":
+            if key == "border_margin":
                 margin = int(value)
             else:
-                raise KeyError
+                section, parse = _KEYS[key]
+                kw[section][key] = parse(value)
         except KeyError:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}") from None
         except ValueError:
             raise ValueError(f"{source}:{lineno}: bad value {value!r} for {key!r}") from None
-    return RunConfig(
-        net=replace(cfg.net, **net_kw),
-        train=replace(cfg.train, **train_kw),
-        loss=replace(cfg.loss, **loss_kw),
-        border_margin=margin,
-    )
+    return replace(cfg, **{section: replace(getattr(cfg, section), **kw[section]) for section in kw},
+                   border_margin=margin)
 
 
 def load_run_config(path, base: RunConfig | None = None) -> RunConfig:
@@ -111,10 +82,7 @@ def load_run_config(path, base: RunConfig | None = None) -> RunConfig:
 
 def format_run_config(cfg: RunConfig) -> str:
     """Serialise a config so a run directory records what actually ran."""
-    lines = []
-    for keys, obj in ((_NET_KEYS, cfg.net), (_TRAIN_KEYS, cfg.train), (_LOSS_KEYS, cfg.loss)):
-        for key in keys:
-            lines.append(f"{key} = {getattr(obj, key)}")
+    lines = [f"{key} = {getattr(getattr(cfg, section), key)}" for key, (section, _) in _KEYS.items()]
     if cfg.border_margin is not None:
         lines.append(f"border_margin = {cfg.border_margin}")
     return "\n".join(lines) + "\n"

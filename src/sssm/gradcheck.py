@@ -198,11 +198,13 @@ def _stereo_checks(seed):
     checks = []
     for direction in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
         fa, fb = _t(rng, 3, 8, 2), _t(rng, 3, 8, 2)
-        checks.append((
-            f"feature_volume_{direction}",
-            lambda fa=fa, fb=fb, d=direction: _project(build_feature_volume(fa, fb, 3, d).values),
-            [fa, fb],
-        ))
+        for depth, suffix in ((None, ""), (6, "_padded")):
+            checks.append((
+                f"feature_volume_{direction}{suffix}",
+                lambda fa=fa, fb=fb, d=direction, n=depth:
+                    _project(build_feature_volume(fa, fb, 3, d, n).values),
+                [fa, fb],
+            ))
     costs = _t(rng, 3, 4, 6, low=-2.0, high=2.0)
     checks.append(("soft_argmin", lambda c=costs: _project(soft_argmin(c)), [costs]))
 

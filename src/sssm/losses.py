@@ -14,7 +14,7 @@ columns for left-view terms, the rightmost for right-view terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class LossWeights:
     lam_grad: float = 0.15
 
     def __post_init__(self):
-        for name in ("w_photo", "w_smooth", "w_consistency", "w_mdh", "lam_ssim", "lam_l1", "lam_grad"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"LossWeights.{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"LossWeights.{f.name} must be >= 0")
 
 
 @dataclass
@@ -65,16 +65,8 @@ class LossReport:
     mdh_r: float
 
     def terms(self) -> dict[str, float]:
-        return {
-            "unary_l": self.unary_l,
-            "unary_r": self.unary_r,
-            "smooth_l": self.smooth_l,
-            "smooth_r": self.smooth_r,
-            "loop_l": self.loop_l,
-            "loop_r": self.loop_r,
-            "mdh_l": self.mdh_l,
-            "mdh_r": self.mdh_r,
-        }
+        """Every field but ``total``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "total"}
 
 
 def _validate_warp(source: np.ndarray, disparity: np.ndarray, direction: str) -> None:
@@ -267,23 +259,22 @@ def total_loss(i_left: Tensor, i_right: Tensor, d_left: Tensor, d_right: Tensor,
     """
     rec_l = warp(i_right, d_left, TO_LEFT)
     rec_r = warp(i_left, d_right, TO_RIGHT)
-    u_l = unary_loss(i_left, rec_l, weights, "l", margin)
-    u_r = unary_loss(i_right, rec_r, weights, "r", margin)
-    s_l = smoothness_loss(d_left, i_left, "l", margin)
-    s_r = smoothness_loss(d_right, i_right, "r", margin)
-    c_l = loop_consistency_loss(i_left, i_right, d_left, d_right, "l", margin)
-    c_r = loop_consistency_loss(i_left, i_right, d_left, d_right, "r", margin)
-    m_l = mdh_loss(d_left, "l", margin)
-    m_r = mdh_loss(d_right, "r", margin)
-    total = ad.scale(ad.add(u_l, u_r), weights.w_photo)
-    total = ad.add(total, ad.scale(ad.add(s_l, s_r), weights.w_smooth))
-    total = ad.add(total, ad.scale(ad.add(c_l, c_r), weights.w_consistency))
-    total = ad.add(total, ad.scale(ad.add(m_l, m_r), weights.w_mdh))
-    report = LossReport(
-        total=total.item(),
-        unary_l=u_l.item(), unary_r=u_r.item(),
-        smooth_l=s_l.item(), smooth_r=s_r.item(),
-        loop_l=c_l.item(), loop_r=c_r.item(),
-        mdh_l=m_l.item(), mdh_r=m_r.item(),
-    )
-    return total, report
+    terms = {
+        "unary_l": unary_loss(i_left, rec_l, weights, "l", margin),
+        "unary_r": unary_loss(i_right, rec_r, weights, "r", margin),
+        "smooth_l": smoothness_loss(d_left, i_left, "l", margin),
+        "smooth_r": smoothness_loss(d_right, i_right, "r", margin),
+        "loop_l": loop_consistency_loss(i_left, i_right, d_left, d_right, "l", margin),
+        "loop_r": loop_consistency_loss(i_left, i_right, d_left, d_right, "r", margin),
+        "mdh_l": mdh_loss(d_left, "l", margin),
+        "mdh_r": mdh_loss(d_right, "r", margin),
+    }
+
+    def both(name: str) -> Tensor:
+        return ad.add(terms[name + "_l"], terms[name + "_r"])
+
+    total = ad.scale(both("unary"), weights.w_photo)
+    total = ad.add(total, ad.scale(both("smooth"), weights.w_smooth))
+    total = ad.add(total, ad.scale(both("loop"), weights.w_consistency))
+    total = ad.add(total, ad.scale(both("mdh"), weights.w_mdh))
+    return total, LossReport(total=total.item(), **{name: t.item() for name, t in terms.items()})

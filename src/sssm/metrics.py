@@ -7,7 +7,7 @@ self-supervised progress signal during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,14 @@ def _valid_errors(predicted: np.ndarray, gt: DisparityGT) -> tuple[np.ndarray, n
     return err, gt.valid
 
 
+def _bad_pixels(err: np.ndarray, gt: DisparityGT, threshold: float, relative: bool) -> np.ndarray:
+    """Pixels off by more than ``threshold`` px (and, if ``relative``, by more than 5%)."""
+    bad = err > threshold
+    if relative:
+        bad &= err > 0.05 * gt.values
+    return bad
+
+
 def d1_error(predicted: np.ndarray, gt: DisparityGT, threshold: float, relative: bool = False) -> float:
     """Percentage of valid pixels whose error exceeds ``threshold`` px.
 
@@ -35,10 +43,7 @@ def d1_error(predicted: np.ndarray, gt: DisparityGT, threshold: float, relative:
     if threshold <= 0:
         raise ValueError("d1_error: threshold must be positive")
     err, valid = _valid_errors(predicted, gt)
-    bad = err > threshold
-    if relative:
-        bad &= err > 0.05 * gt.values
-    return float(100.0 * bad[valid].mean())
+    return float(100.0 * _bad_pixels(err, gt, threshold, relative)[valid].mean())
 
 
 def epe(predicted: np.ndarray, gt: DisparityGT) -> float:
@@ -67,10 +72,7 @@ class EvalReport:
     CSV_HEADER = "pairs,valid_pixels,epe,d1_0.5,d1_1.0,d1_3.0,warp_error"
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.pairs},{self.valid_pixels},{self.epe!r},"
-            f"{self.d1_05!r},{self.d1_10!r},{self.d1_30!r},{self.warp_error!r}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
 
     def to_text(self) -> str:
         lines = [
@@ -103,10 +105,7 @@ def evaluate(entries, margin: int = 0) -> EvalReport:
         total_valid += int(valid.sum())
         err_sum += float(err[valid].sum())
         for j, (thr, rel) in enumerate(D1_THRESHOLDS):
-            bad = err > thr
-            if rel:
-                bad &= err > 0.05 * pair.gt.values
-            bad_counts[j] += int(bad[valid].sum())
+            bad_counts[j] += int(_bad_pixels(err, pair.gt, thr, rel)[valid].sum())
         warp_sum += warping_error(pair, d_left, d_right, margin)
         n += 1
     if n == 0:

@@ -135,13 +135,15 @@ def extract_features(image: Tensor, weights: NetworkWeights) -> Tensor:
     return x
 
 
-def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, direction: str) -> FeatureVolume:
+def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, direction: str,
+                         depth: int | None = None) -> FeatureVolume:
     """Stack per-candidate-disparity feature concatenations.
 
-    Output values have shape (H, W, D+1, 2F).  At (u, v, d) the first F
-    channels are f_first(u, v); the last F are f_second sampled at u - d
-    (direction "lr") or u + d (direction "rl").  Out-of-range samples are
-    zero, which marks them as non-informative rather than wrapping.
+    Output values have shape (H, W, depth, 2F), depth D+1 by default.  At
+    (u, v, d) with d <= D the first F channels are f_first(u, v); the last F
+    are f_second sampled at u - d (direction "lr") or u + d (direction
+    "rl").  Out-of-range samples are zero, which marks them as
+    non-informative rather than wrapping; so are all slices d > D.
     """
     if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
         raise ValueError(f"build_feature_volume: unknown direction {direction!r}")
@@ -153,8 +155,11 @@ def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, 
     d_max = int(max_disparity)
     if d_max < 0 or d_max >= w:
         raise ValueError(f"build_feature_volume: disparity range {d_max} must satisfy 0 <= D < W={w}")
-    vol = np.zeros((h, w, d_max + 1, 2 * f), dtype=f_first.data.dtype)
-    vol[:, :, :, :f] = f_first.data[:, :, None, :]
+    depth = d_max + 1 if depth is None else int(depth)
+    if depth <= d_max:
+        raise ValueError(f"build_feature_volume: depth {depth} must exceed the disparity range {d_max}")
+    vol = np.zeros((h, w, depth, 2 * f), dtype=f_first.data.dtype)
+    vol[:, :, : d_max + 1, :f] = f_first.data[:, :, None, :]
     for d in range(d_max + 1):
         if direction == LEFT_TO_RIGHT:
             vol[:, d:, d, f:] = f_second.data[:, : w - d]
@@ -163,7 +168,7 @@ def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, 
 
     def bwd(g):
         if f_first.requires_grad:
-            accumulate(f_first, g[:, :, :, :f].sum(axis=2))
+            accumulate(f_first, g[:, :, : d_max + 1, :f].sum(axis=2))
         if f_second.requires_grad:
             gs = np.zeros_like(f_second.data)
             for d in range(d_max + 1):
@@ -227,17 +232,13 @@ def soft_argmin(costs: Tensor) -> Tensor:
     return ad.sum_reduce(ad.mul(p, idx), axis=2)
 
 
-def _pad_multiple(n: int, m: int) -> int:
-    return (-n) % m
-
-
 def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
     """Predict (d_left, d_right) for a rectified pair, sharing all weights.
 
     Accepts ndarrays or Tensors.  Requires H and W divisible by
     2^restdm_scales (``training.infer`` pads arbitrary sizes).  The
-    disparity axis is zero-padded up to the nearest multiple internally and
-    the costs cropped back, so any disparity_range works.
+    volumes are built with zero slices up to the nearest multiple on the
+    disparity axis and the costs cropped back, so any disparity_range works.
     """
     cfg = weights.config
     i_l = left if isinstance(left, Tensor) else Tensor(left)
@@ -253,16 +254,12 @@ def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
         raise ValueError(f"forward: disparity_range {cfg.disparity_range} must be < W={w}")
     f_l = extract_features(i_l, weights)
     f_r = extract_features(i_r, weights)
+    dp1 = cfg.disparity_range + 1
+    depth = dp1 + (-dp1) % cfg.scale_factor
     out = []
     for first, second, direction in ((f_l, f_r, LEFT_TO_RIGHT), (f_r, f_l, RIGHT_TO_LEFT)):
-        vol = build_feature_volume(first, second, cfg.disparity_range, direction)
-        dp1 = cfg.disparity_range + 1
-        pad_d = _pad_multiple(dp1, cfg.scale_factor)
-        values = vol.values
-        if pad_d:
-            values = ad.pad_zero(values, ((0, 0), (0, 0), (0, pad_d), (0, 0)))
-        costs = res_tdm(FeatureVolume(values, direction), weights)
-        if pad_d:
+        costs = res_tdm(build_feature_volume(first, second, cfg.disparity_range, direction, depth), weights)
+        if depth > dp1:
             costs = ad.crop(costs, (None, None, (0, dp1)))
         out.append(soft_argmin(costs))
     return out[0], out[1]

@@ -13,7 +13,7 @@ bit for bit, on the same platform with the same thread settings.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +22,11 @@ from . import checkpoint
 from .autodiff import Tensor, no_grad
 from .data import StereoPair
 from .losses import LossReport, LossWeights, reconstruction_error, total_loss
-from .network import NetConfig, NetworkWeights, forward, init_weights
+from .network import NetConfig, NetworkWeights, forward
 
 log = logging.getLogger(__name__)
 
-LOG_COLUMNS = (
-    "iteration", "lr", "total",
-    "unary_l", "unary_r", "smooth_l", "smooth_r",
-    "loop_l", "loop_r", "mdh_l", "mdh_r", "warp_error",
-)
+LOG_COLUMNS = ("iteration", "lr", *(f.name for f in fields(LossReport)), "warp_error")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -162,8 +158,7 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
     d_l, d_r = forward(i_l, i_r, weights)
     live = replace(lw, w_smooth=cfg.smooth_at(i))
     total, report = total_loss(i_l, i_r, d_l, d_r, live, margin)
-    values = [report.total, *report.terms().values()]
-    if not all(np.isfinite(v) for v in values):
+    if not all(np.isfinite(v) for v in astuple(report)):
         raise NonFiniteLossError(i, report)
     weights.tape.backward(total)
     for name, t in weights.named().items():
@@ -203,6 +198,10 @@ class LossLog:
             self._fh = open(path, "w")
             self._fh.write(",".join(LOG_COLUMNS) + "\n")
             self._fh.flush()
+
+    def record(self, iteration: int, lr: float, report: LossReport, warp_error: float) -> None:
+        """Log one train or adapt step."""
+        self.append({"iteration": iteration, "lr": lr, **asdict(report), "warp_error": warp_error})
 
     def append(self, row: dict) -> None:
         self.rows.append(row)
@@ -256,9 +255,7 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
             left, right = _crop_pair(pair, rng, cfg.crop_height, cw)
             report, d_l, d_r = train_step(weights, left, right, cfg, lw, opt, margin)
             warp_err = reconstruction_error(left, right, d_l, d_r, margin)
-            row = {"iteration": i, "lr": cfg.lr_at(i), "total": report.total,
-                   **report.terms(), "warp_error": warp_err}
-            logger.append(row)
+            logger.record(i, cfg.lr_at(i), report, warp_err)
             if i % 100 == 0:
                 log.info("iter %d total %.5f warp %.5f", i, report.total, warp_err)
             done = opt.iteration
@@ -300,6 +297,7 @@ class AdaptResult:
     d_left: np.ndarray
     d_right: np.ndarray
     report: LossReport
+    warp_error: float
 
 
 def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
@@ -313,18 +311,20 @@ def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
     stream degenerates to inference exactly.
 
     Updates run on the full frame, centre-cropped only if the dims are not
-    divisible by the network's scale factor.
+    divisible by the network's scale factor.  The warping error scores the
+    emitted predictions on the full frame.
     """
     lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
+    margin = default_margin(weights.config) if margin is None else margin
     sf = weights.config.scale_factor
     for index, pair in enumerate(pairs):
         d_l, d_r = infer(weights, pair)
+        warp_err = reconstruction_error(pair.left, pair.right, d_l, d_r, margin)
         h, w = pair.shape
         ch, cw = h - h % sf, w - w % sf
         y0, x0 = (h - ch) // 2, (w - cw) // 2
         left = np.ascontiguousarray(pair.left[y0:y0 + ch, x0:x0 + cw])
         right = np.ascontiguousarray(pair.right[y0:y0 + ch, x0:x0 + cw])
-        m = default_margin(weights.config) if margin is None else margin
-        report, _, _ = train_step(weights, left, right, cfg, lw, opt, m)
-        yield AdaptResult(index=index, d_left=d_l, d_right=d_r, report=report)
+        report, _, _ = train_step(weights, left, right, cfg, lw, opt, margin)
+        yield AdaptResult(index=index, d_left=d_l, d_right=d_r, report=report, warp_error=warp_err)

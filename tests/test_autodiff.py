@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, backward rules, tape bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,21 @@ class TestBackward:
         loss = ad.sum_reduce(ad.add(y, z))
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_crop_backward_holds_one_full_size_gradient(self):
+        # crop's backward scatters into one fresh full-size buffer; the
+        # first accumulate must take it as the gradient, not copy it.
+        x = t64(np.zeros((512, 512)), requires_grad=True)
+        loss = ad.sum_reduce(ad.crop(x, ((0, 4), (0, 4))))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.data.nbytes
+        assert x.grad.sum() == 16.0
 
     def test_check_finite_toggle(self):
         x = t64([1.0], requires_grad=True)

@@ -1,5 +1,8 @@
 """Run configuration parsing, overrides, and serialisation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from sssm.config import RunConfig, format_run_config, load_run_config, parse_run_config
@@ -100,3 +103,29 @@ class TestFiles:
         path.write_text("feature_dim = 8\nbogus = 1\n")
         with pytest.raises(ValueError, match=r"run\.cfg:2"):
             load_run_config(path)
+
+
+class TestKeys:
+    KEYS = [
+        "feature_layers", "feature_dim", "kernel", "skip_every", "disparity_range", "restdm_scales",
+        "learning_rate", "dropped_learning_rate", "lr_drop_iteration", "max_iterations",
+        "crop_height", "crop_width", "smooth_scratch", "smooth_converged",
+        "smooth_switch_iteration", "seed", "checkpoint_every",
+        "w_photo", "w_consistency", "w_mdh", "lam_ssim", "lam_l1", "lam_grad",
+    ]
+
+    @staticmethod
+    def emitted_keys(cfg):
+        return [line.split(" = ")[0] for line in format_run_config(cfg).splitlines()]
+
+    def test_format_pins_key_list_and_order(self):
+        # run_config.txt is part of every run directory: a key added,
+        # dropped or moved changes its bytes.
+        assert self.emitted_keys(RunConfig.default()) == self.KEYS
+
+    def test_readme_documents_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"`(\w+)`", section))
+        assert set(self.emitted_keys(RunConfig.default())) <= documented
+        assert "w_smooth" not in documented

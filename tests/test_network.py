@@ -106,9 +106,9 @@ class TestExtractFeatures:
             extract_features(Tensor(np.zeros((8, 8, 1), np.float32)), w)
 
 
-def brute_volume(f1, f2, d_max, direction):
+def brute_volume(f1, f2, d_max, direction, depth=None):
     h, w, f = f1.shape
-    vol = np.zeros((h, w, d_max + 1, 2 * f), dtype=f1.dtype)
+    vol = np.zeros((h, w, d_max + 1 if depth is None else depth, 2 * f), dtype=f1.dtype)
     for v in range(h):
         for u in range(w):
             for d in range(d_max + 1):
@@ -130,6 +130,10 @@ class TestFeatureVolume:
         f2 = rng.standard_normal((h, w, f)).astype(np.float32)
         vol = build_feature_volume(Tensor(f1), Tensor(f2), d_max, direction)
         np.testing.assert_array_equal(vol.values.data, brute_volume(f1, f2, d_max, direction))
+        # padded depth: the extra slices are zero in both halves
+        depth = d_max + 1 + int(rng.integers(1, 4))
+        vol = build_feature_volume(Tensor(f1), Tensor(f2), d_max, direction, depth)
+        np.testing.assert_array_equal(vol.values.data, brute_volume(f1, f2, d_max, direction, depth))
 
     def test_zero_shift_slice_is_plain_concat(self):
         rng = np.random.default_rng(3)
@@ -152,6 +156,9 @@ class TestFeatureVolume:
         vol = build_feature_volume(Tensor(np.zeros((4, 5, 3), np.float32)),
                                    Tensor(np.zeros((4, 5, 3), np.float32)), 2, LEFT_TO_RIGHT)
         assert vol.values.data.shape == (4, 5, 3, 6)
+        vol = build_feature_volume(Tensor(np.zeros((4, 5, 3), np.float32)),
+                                   Tensor(np.zeros((4, 5, 3), np.float32)), 2, LEFT_TO_RIGHT, 4)
+        assert vol.values.data.shape == (4, 5, 4, 6)
 
     def test_validation(self):
         f = Tensor(np.zeros((3, 4, 2), np.float32))
@@ -161,6 +168,8 @@ class TestFeatureVolume:
             build_feature_volume(f, f, 4, LEFT_TO_RIGHT)  # D must stay < W
         with pytest.raises(ValueError):
             build_feature_volume(f, f, 1, "sideways")
+        with pytest.raises(ValueError):
+            build_feature_volume(f, f, 2, LEFT_TO_RIGHT, 2)  # depth must exceed D
 
     def test_gradient_scatters_back(self):
         # sum of LR volume: f1 contributes (D+1) times, f2 once per in-range (u, d)
@@ -170,6 +179,11 @@ class TestFeatureVolume:
         ad.backward(ad.sum_reduce(vol.values))
         np.testing.assert_array_equal(f1.grad, np.full((2, 4, 1), 3.0))
         # column u of f2 is read at (u, 0), (u+1, 1), (u+2, 2) while in range
+        np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
+        # the zero slices of a padded volume send no gradient back
+        f1.grad = f2.grad = None
+        ad.backward(ad.sum_reduce(build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT, 4).values))
+        np.testing.assert_array_equal(f1.grad, np.full((2, 4, 1), 3.0))
         np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
 
 

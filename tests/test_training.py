@@ -1,12 +1,14 @@
 """Optimiser mechanics, determinism, checkpoint resume, and adaptation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sssm import synth
 from sssm.autodiff import Tensor
 from sssm.data import StereoPair
-from sssm.losses import LossWeights
+from sssm.losses import LossReport, LossWeights, reconstruction_error
 from sssm.network import NetConfig, forward, init_weights
 from sssm.training import (
     LOG_COLUMNS,
@@ -379,6 +381,17 @@ class TestOnlineAdapt:
         assert results[0].d_left.shape == (15, 33)
         assert results[1].report.total >= 0 or True  # stream completes
 
+    @pytest.mark.parametrize("margin", [None, 2])
+    def test_warp_error_scores_the_emitted_frame(self, margin):
+        # indivisible frames: the update runs on a centre crop, the warping
+        # error on the full frame with the emitted predictions
+        pairs = [synth.synth_pair((1, i), 15, 33, synth.constant_field(1.5)) for i in range(2)]
+        weights = init_weights(MICRO, seed=0)
+        m = default_margin(MICRO) if margin is None else margin
+        for pair, result in zip(pairs, online_adapt(weights, pairs, _micro_cfg(), margin=margin)):
+            assert result.warp_error == reconstruction_error(
+                pair.left, pair.right, result.d_left, result.d_right, m)
+
 
 class TestLossLog:
     def test_rows_round_trip_through_csv(self, tmp_path):
@@ -394,6 +407,14 @@ class TestLossLog:
         assert int(fields[0]) == 3
         for c, field in zip(LOG_COLUMNS[1:], fields[1:]):
             assert float(field) == row[c]
+
+    def test_record_fills_every_column(self):
+        log = LossLog(None)
+        report = LossReport(*(0.5 + i for i in range(len(dataclasses.fields(LossReport)))))
+        log.record(7, 0.001, report, 0.25)
+        assert log.rows == [{"iteration": 7, "lr": 0.001, "total": 0.5, **report.terms(),
+                             "warp_error": 0.25}]
+        assert list(log.rows[0]) == list(LOG_COLUMNS)
 
     def test_memory_only_mode(self):
         log = LossLog(None)
