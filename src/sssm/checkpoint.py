@@ -37,7 +37,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a container back into an ordered name -> float32 array dict."""
-    buf = open(path, "rb").read()
+    with open(path, "rb") as f:
+        buf = f.read()
     if buf[:len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:len(MAGIC)]!r}, expected {MAGIC!r}")
     pos = len(MAGIC)

@@ -31,6 +31,7 @@ from .network import (
     forward,
     init_weights,
     soft_argmin,
+    volume_conv,
 )
 
 EPS = 1e-5
@@ -190,6 +191,13 @@ def _conv_checks(seed):
     checks.append(("conv3d_s2", lambda x=x, k=k, b=b: _project(conv3d(x, k, b, stride=2)), [x, k, b]))
     y, k, b = _t(rng, 2, 3, 2, 2), _t(rng, 3, 3, 3, 3, 2), _t(rng, 3)
     checks.append(("deconv3d", lambda y=y, k=k, b=b: _project(deconv3d(y, k, b)), [y, k, b]))
+    for direction in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
+        fa, fb, k, b = _t(rng, 4, 6, 2), _t(rng, 4, 6, 2), _t(rng, 3, 3, 3, 4, 2), _t(rng, 2)
+        checks.append((
+            f"volume_conv_{direction}_padded",
+            lambda fa=fa, fb=fb, k=k, b=b, d=direction: _project(volume_conv(fa, fb, k, b, 3, d, 6)),
+            [fa, fb, k, b],
+        ))
     return checks
 
 

@@ -58,7 +58,8 @@ def _header_tokens(buf: bytes, count: int, path) -> tuple[list[bytes], int]:
 
 
 def _parse_pnm(path) -> tuple[bytes, int, int, int, bytes, int]:
-    buf = open(path, "rb").read()
+    with open(path, "rb") as f:
+        buf = f.read()
     if len(buf) < 2 or buf[:1] != b"P":
         raise ParseError(path, "not a PNM file", 0)
     tokens, payload_at = _header_tokens(buf, 4, path)
@@ -160,7 +161,8 @@ def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None, scal
 
 def read_pfm(path) -> np.ndarray:
     """Load a grayscale PFM ("Pf") as float32 (H, W), top-down rows."""
-    buf = open(path, "rb").read()
+    with open(path, "rb") as f:
+        buf = f.read()
     if buf[:2] != b"Pf":
         raise ParseError(path, f"expected Pf magic, got {buf[:2]!r}", 0)
     tokens, at = _header_tokens(buf, 3, path)

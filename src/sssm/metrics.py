@@ -7,7 +7,7 @@ self-supervised progress signal during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
@@ -15,6 +15,8 @@ from .data import DisparityGT, StereoPair
 from .losses import reconstruction_error
 
 D1_THRESHOLDS = ((0.5, False), (1.0, False), (3.0, True))
+# EvalReport's field for each threshold's rate: d1_05, d1_10, d1_30
+D1_FIELDS = tuple("d1_" + f"{threshold:.1f}".replace(".", "") for threshold, _ in D1_THRESHOLDS)
 
 
 def _valid_errors(predicted: np.ndarray, gt: DisparityGT) -> tuple[np.ndarray, np.ndarray]:
@@ -57,19 +59,12 @@ def warping_error(pair: StereoPair, d_left: np.ndarray, d_right: np.ndarray, mar
     return reconstruction_error(pair.left, pair.right, d_left, d_right, margin)
 
 
-@dataclass
-class EvalReport:
-    """Aggregate metrics over an evaluation set (pixel-weighted)."""
+class _EvalReportBase:
+    """Aggregate metrics over an evaluation set (pixel-weighted).
 
-    pairs: int
-    valid_pixels: int
-    epe: float
-    d1_05: float
-    d1_10: float
-    d1_30: float
-    warp_error: float
-
-    CSV_HEADER = "pairs,valid_pixels,epe,d1_0.5,d1_1.0,d1_3.0,warp_error"
+    Fields, in CSV order: pairs, valid_pixels, epe, one D1 percentage per
+    ``D1_THRESHOLDS`` entry (named by ``D1_FIELDS``) and warp_error.
+    """
 
     def to_csv_row(self) -> str:
         return ",".join(repr(getattr(self, f.name)) for f in fields(self))
@@ -79,12 +74,22 @@ class EvalReport:
             f"pairs evaluated: {self.pairs}",
             f"valid GT pixels: {self.valid_pixels}",
             f"EPE: {self.epe:.4f} px",
-            f"D1(0.5px): {self.d1_05:.2f}%",
-            f"D1(1.0px): {self.d1_10:.2f}%",
-            f"D1(3.0px): {self.d1_30:.2f}%",
+            *(f"D1({threshold}px): {getattr(self, name):.2f}%"
+              for (threshold, _), name in zip(D1_THRESHOLDS, D1_FIELDS)),
             f"warping error: {self.warp_error:.6f}",
         ]
         return "\n".join(lines)
+
+
+EvalReport = make_dataclass(
+    "EvalReport",
+    [("pairs", int), ("valid_pixels", int), ("epe", float), *((name, float) for name in D1_FIELDS),
+     ("warp_error", float)],
+    bases=(_EvalReportBase,),
+    namespace={"__module__": __name__, "__doc__": _EvalReportBase.__doc__},
+)
+_D1_COLUMNS = {name: f"d1_{threshold}" for (threshold, _), name in zip(D1_THRESHOLDS, D1_FIELDS)}
+EvalReport.CSV_HEADER = ",".join(_D1_COLUMNS.get(f.name, f.name) for f in fields(EvalReport))
 
 
 def evaluate(entries, margin: int = 0) -> EvalReport:
@@ -95,7 +100,7 @@ def evaluate(entries, margin: int = 0) -> EvalReport:
     """
     total_valid = 0
     err_sum = 0.0
-    bad_counts = [0, 0, 0]
+    bad_counts = [0] * len(D1_THRESHOLDS)
     warp_sum = 0.0
     n = 0
     for pair, d_left, d_right in entries:
@@ -114,8 +119,6 @@ def evaluate(entries, margin: int = 0) -> EvalReport:
         pairs=n,
         valid_pixels=total_valid,
         epe=err_sum / total_valid,
-        d1_05=100.0 * bad_counts[0] / total_valid,
-        d1_10=100.0 * bad_counts[1] / total_valid,
-        d1_30=100.0 * bad_counts[2] / total_valid,
+        **{name: 100.0 * bad / total_valid for name, bad in zip(D1_FIELDS, bad_counts)},
         warp_error=warp_sum / n,
     )

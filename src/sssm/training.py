@@ -130,6 +130,14 @@ def load_weights(path, weights: NetworkWeights) -> None:
 
 
 def save_optimizer(path, opt: OptimizerState) -> None:
+    """Write the RMSProp accumulators and the iteration counter.
+
+    The counter is stored as float32, which holds every integer only up to
+    2^24; a larger one is refused before anything is written.
+    """
+    if opt.iteration > 2 ** 24:
+        raise ValueError(f"save_optimizer: iteration {opt.iteration} exceeds 2^24, "
+                         "the largest counter the float32 container stores exactly")
     arrays = dict(opt.acc)
     arrays["__iteration__"] = np.array([opt.iteration], dtype=np.float32)
     checkpoint.save_arrays(path, arrays)

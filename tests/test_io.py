@@ -1,5 +1,8 @@
 """File format round trips, parse diagnostics, and manifest loading."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,26 @@ class TestCheckpoint:
         path.write_bytes(data + data[len(checkpoint.MAGIC):])
         with pytest.raises(ValueError, match="duplicate"):
             checkpoint.load_arrays(path)
+
+
+def test_readers_close_their_files(tmp_path):
+    rng = _rng(3)
+    checkpoint.save_arrays(tmp_path / "w.sssmw", {"a": rng.standard_normal((2, 3)).astype(np.float32)})
+    imageio.write_image(tmp_path / "c.ppm", rng.uniform(0, 1, (4, 5, 3)))
+    imageio.write_image(tmp_path / "g.pgm", rng.uniform(0, 1, (4, 5)))
+    imageio.write_gt_pgm(tmp_path / "gt.pgm", rng.uniform(0, 9, (4, 5)))
+    imageio.write_pfm(tmp_path / "d.pfm", rng.uniform(0, 9, (4, 5)).astype(np.float32))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        checkpoint.load_arrays(tmp_path / "w.sssmw")
+        imageio.read_image(tmp_path / "c.ppm")
+        imageio.read_image(tmp_path / "g.pgm")
+        imageio.peek_pnm(tmp_path / "c.ppm")
+        imageio.read_gt_pgm(tmp_path / "gt.pgm")
+        imageio.read_pfm(tmp_path / "d.pfm")
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, leaks
 
 
 def _write_pair(root, stem, shape=(6, 8)):

@@ -1,5 +1,7 @@
 """Disparity accuracy metrics: counting oracles and aggregation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,14 @@ class TestEvaluate:
         # repr() serialisation reparses to the exact float.
         assert float(fields[2]) == report.epe
         assert float(fields[6]) == report.warp_error
+
+    def test_csv_header_and_text_are_pinned(self):
+        # eval.csv and the printed report keep their exact format
+        assert EvalReport.CSV_HEADER == "pairs,valid_pixels,epe,d1_0.5,d1_1.0,d1_3.0,warp_error"
+        report = EvalReport(pairs=2, valid_pixels=40, epe=0.25, d1_05=12.5, d1_10=5.0, d1_30=2.5,
+                            warp_error=0.0125)
+        assert report.to_csv_row() == "2,40,0.25,12.5,5.0,2.5,0.0125"
+        assert report.to_text() == ("pairs evaluated: 2\nvalid GT pixels: 40\nEPE: 0.2500 px\n"
+                                    "D1(0.5px): 12.50%\nD1(1.0px): 5.00%\nD1(3.0px): 2.50%\n"
+                                    "warping error: 0.012500")
+        assert pickle.loads(pickle.dumps(report)) == report

@@ -1,14 +1,16 @@
 """Network stages: feature tower, matching volumes, regulariser, readout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sssm import autodiff as ad
+from sssm import convops, losses, network
 from sssm.autodiff import Tensor, no_grad
 from sssm.network import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
-    FeatureVolume,
     NetConfig,
     build_feature_volume,
     extract_features,
@@ -16,7 +18,9 @@ from sssm.network import (
     init_weights,
     res_tdm,
     soft_argmin,
+    volume_conv,
 )
+from sssm.convops import conv3d
 
 MICRO = NetConfig(feature_layers=3, feature_dim=4, skip_every=3,
                   disparity_range=4, restdm_scales=2)
@@ -187,23 +191,82 @@ class TestFeatureVolume:
         np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
 
 
+class TestVolumeConv:
+    """volume_conv against conv3d on the explicit volume, forward and all four gradients."""
+
+    @staticmethod
+    def _both_paths(direction, d_max, depth, f, cout, dtype):
+        rng = np.random.default_rng((d_max, depth or 0, f, cout))
+        inputs = [Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+                  for shape in ((4, 6, f), (4, 6, f), (3, 3, 3, 2 * f, cout), (cout,))]
+        f1, f2, k, b = inputs
+        results = []
+        for explicit in (True, False):
+            for t in inputs:
+                t.grad = None
+            if explicit:
+                out = conv3d(build_feature_volume(f1, f2, d_max, direction, depth).values, k, b, stride=2)
+            else:
+                out = volume_conv(f1, f2, k, b, d_max, direction, depth)
+            upstream = Tensor(np.random.default_rng(1).standard_normal(out.data.shape), dtype=dtype)
+            ad.backward(ad.sum_reduce(ad.mul(out, upstream)))
+            results.append([out.data] + [t.grad for t in inputs])
+        return results
+
+    @pytest.mark.parametrize("direction", [LEFT_TO_RIGHT, RIGHT_TO_LEFT])
+    @pytest.mark.parametrize("d_max,depth", [(0, 2), (0, 4), (3, None), (3, 6), (5, None), (5, 8)],
+                             ids=["D0-padded2", "D0-padded4", "Dodd", "Dodd-padded", "DWm1", "DWm1-padded"])
+    @pytest.mark.parametrize("f,cout", [(1, 1), (3, 4)], ids=["1ch", "multich"])
+    def test_matches_explicit_volume_float64(self, direction, d_max, depth, f, cout):
+        explicit, fused = self._both_paths(direction, d_max, depth, f, cout, np.float64)
+        for name, a, b in zip(("out", "f_first", "f_second", "kernel", "bias"), explicit, fused):
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-10, name
+
+    @pytest.mark.parametrize("direction", [LEFT_TO_RIGHT, RIGHT_TO_LEFT])
+    def test_matches_explicit_volume_float32(self, direction):
+        # both paths sum the same products in a different order: allow a few
+        # dozen roundings of the largest magnitude involved
+        tol = 64 * np.finfo(np.float32).eps
+        explicit, fused = self._both_paths(direction, 5, 8, 3, 4, np.float32)
+        for name, a, b in zip(("out", "f_first", "f_second", "kernel", "bias"), explicit, fused):
+            assert a.dtype == b.dtype == np.float32, name
+            assert np.abs(a - b).max() <= tol * np.abs(a).max(), name
+
+    def test_rejects_bad_shapes(self):
+        f = Tensor(np.zeros((4, 6, 2), np.float32))
+        k, b = Tensor(np.zeros((3, 3, 3, 4, 1), np.float32)), Tensor(np.zeros(1, np.float32))
+        with pytest.raises(ValueError):
+            volume_conv(f, f, k, b, 2, LEFT_TO_RIGHT)  # depth 3 is odd
+        with pytest.raises(ValueError):
+            volume_conv(f, f, Tensor(np.zeros((3, 3, 3, 2, 1), np.float32)), b, 3, LEFT_TO_RIGHT)
+        with pytest.raises(ValueError):
+            volume_conv(f, f, k, Tensor(np.zeros(2, np.float32)), 3, LEFT_TO_RIGHT)
+        with pytest.raises(ValueError):
+            volume_conv(f, f, k, b, 6, LEFT_TO_RIGHT, 8)  # D must stay < W
+        odd = Tensor(np.zeros((3, 6, 2), np.float32))
+        with pytest.raises(ValueError):
+            volume_conv(odd, odd, k, b, 3, RIGHT_TO_LEFT)
+
+
 class TestResTdm:
     def test_output_shape_and_zero_weights(self):
         w = init_weights(MICRO, seed=0)
         for t in w.named().values():
             t.data[:] = 0.0
-        vol = FeatureVolume(Tensor(np.random.default_rng(0).standard_normal(
-            (8, 8, 8, 2 * MICRO.feature_dim)).astype(np.float32)), LEFT_TO_RIGHT)
+        rng = np.random.default_rng(0)
+        f1, f2 = (Tensor(rng.standard_normal((8, 8, MICRO.feature_dim)).astype(np.float32))
+                  for _ in range(2))
         with no_grad():
-            costs = res_tdm(vol, w)
+            costs = res_tdm(f1, f2, LEFT_TO_RIGHT, w)
         assert costs.data.shape == (8, 8, 8)
         np.testing.assert_array_equal(costs.data, 0.0)
 
     def test_rejects_indivisible_dims(self):
         w = init_weights(MICRO, seed=0)
-        vol = FeatureVolume(Tensor(np.zeros((6, 8, 8, 8), np.float32)), LEFT_TO_RIGHT)
+        f = Tensor(np.zeros((6, 8, MICRO.feature_dim), np.float32))
         with pytest.raises(ValueError):
-            res_tdm(vol, w)
+            res_tdm(f, f, LEFT_TO_RIGHT, w)
 
 
 class TestSoftArgmin:
@@ -271,6 +334,46 @@ class TestForward:
             forward(np.zeros((9, 32, 3), np.float32), np.zeros((9, 32, 3), np.float32), w)
         with pytest.raises(ValueError):
             forward(good, np.zeros((8, 36, 3), np.float32), w)
+
+    def test_train_step_never_allocates_a_volume(self, monkeypatch):
+        """Neither a single block nor any op's rise of the traced peak, in a
+        toy-shaped forward and backward, reaches one (H, W, depth, 2F) volume."""
+        cfg = NetConfig.toy()
+        w = init_weights(cfg, seed=0)
+        rng = np.random.default_rng(2)
+        i_l, i_r = (rng.uniform(0, 1, (32, 64, 3)).astype(np.float32) for _ in range(2))
+        volume = 32 * 64 * 20 * 2 * cfg.feature_dim * 4
+        rises = []
+        start = [0]
+
+        def mark():
+            # the traced peak since the previous op, over the memory held then
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - start[0])
+            tracemalloc.reset_peak()
+            start[0] = current
+
+        def marking(fn):
+            def wrapper(*args):
+                mark()
+                return fn(*args)
+            return wrapper
+
+        for module in (ad, convops, network, losses):
+            monkeypatch.setattr(module, "make_op", marking(module.make_op))
+            monkeypatch.setattr(module, "accumulate", marking(module.accumulate))
+        tracemalloc.start()
+        try:
+            start[0] = tracemalloc.get_traced_memory()[0]
+            d_l, d_r = forward(i_l, i_r, w)
+            largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+            ad.backward(ad.add(ad.mean_reduce(d_l), ad.mean_reduce(d_r)))
+            mark()
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in w.named().values())
+        assert largest < volume
+        assert max(rises) < volume
 
     def test_volume_level_mirror_symmetry(self):
         """Mirroring the feature maps horizontally turns the LR volume into

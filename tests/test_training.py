@@ -147,6 +147,17 @@ class TestCheckpointIo:
         for n in opt.acc:
             np.testing.assert_array_equal(back.acc[n], opt.acc[n])
 
+    def test_optimizer_refuses_iteration_float32_cannot_hold(self, tmp_path):
+        weights = init_weights(MICRO, seed=0)
+        opt = OptimizerState.fresh(weights)
+        opt.iteration = 2 ** 24
+        save_optimizer(tmp_path / "last.opt", opt)
+        assert load_optimizer(tmp_path / "last.opt", weights).iteration == 2 ** 24
+        opt.iteration = 2 ** 24 + 1
+        with pytest.raises(ValueError, match=r"2\^24"):
+            save_optimizer(tmp_path / "over.opt", opt)
+        assert not (tmp_path / "over.opt").exists()
+
     def test_optimizer_rejects_mismatched_params(self, tmp_path):
         weights = init_weights(MICRO, seed=0)
         path = tmp_path / "w.opt"
