@@ -116,30 +116,29 @@ def _cmd_train(args) -> int:
     from .config import format_run_config
     from .data import DatasetManifest
     from .network import init_weights
-    from .training import load_optimizer, load_weights, save_optimizer, save_weights, train_from_scratch
+    from .training import load_optimizer, load_weights, train_from_scratch
 
     cfg = _load_config(args)
     if args.iterations is not None:
         cfg = replace(cfg, train=replace(cfg.train, max_iterations=args.iterations))
     out = Path(args.out)
+    ckpt = Path(args.checkpoint) if args.checkpoint else out / "weights.sssmw"
+    opt_path = Path(str(ckpt) + ".opt")
+    if ckpt.is_file() and not opt_path.is_file():
+        raise FileNotFoundError(f"cannot resume from {ckpt}: optimizer state not found: {opt_path}")
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_config.txt").write_text(format_run_config(cfg))
     pairs = DatasetManifest.load(args.manifest).load_all()
     weights = init_weights(cfg.net, seed=cfg.train.seed)
-    ckpt = Path(args.checkpoint) if args.checkpoint else out / "weights.sssmw"
     opt = None
     if ckpt.is_file():
         load_weights(ckpt, weights)
-        opt_path = Path(str(ckpt) + ".opt")
-        if opt_path.is_file():
-            opt = load_optimizer(opt_path, weights)
+        opt = load_optimizer(opt_path, weights)
         logging.getLogger(__name__).info("resuming from %s", ckpt)
     opt, _ = train_from_scratch(
         pairs, weights, cfg.train, cfg.loss, opt=opt, margin=_margin(cfg),
         log_path=out / "loss_log.csv", checkpoint_path=ckpt,
     )
-    save_weights(ckpt, weights)
-    save_optimizer(str(ckpt) + ".opt", opt)
     print(f"trained to iteration {opt.iteration}; weights at {ckpt}")
     return 0
 

@@ -130,6 +130,20 @@ class TestTrainFlow:
         assert result.returncode == 0, result.stderr
         assert "iteration 4" in result.stdout
 
+    def test_resume_without_optimizer_state_exits_1_before_writing(self, micro_env, tmp_path):
+        ckpt = tmp_path / "weights.sssmw"
+        ckpt.write_bytes((micro_env / "run" / "weights.sssmw").read_bytes())
+        out = tmp_path / "out"
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                         "--checkpoint", str(ckpt), "--iterations", "4", "--seed", "0")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert "weights.sssmw.opt" in result.stderr
+        assert not out.exists()
+        assert ckpt.read_bytes() == (micro_env / "run" / "weights.sssmw").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.sssmw"]
+
 
 class TestInferEvalFlow:
     def test_infer_writes_predictions(self, micro_env):

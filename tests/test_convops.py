@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sssm import autodiff as ad
+from sssm import convops
 from sssm.autodiff import Tensor
 from sssm.convops import conv2d, conv3d, deconv3d
 
@@ -57,12 +58,12 @@ def brute_conv3d(x, w, b, stride=1):
     return out
 
 
-def _check_backward_is_adjoint(op, x, w, **kw):
+def _check_backward_is_adjoint(op, x, w, bias_len=None, **kw):
     """Backward against the forward it differentiates: with zero bias the op
     is linear in x and in w, so <op(x, w), g> == <x, dx> == <w, dw>."""
     rng = np.random.default_rng(x.size)
     xt, wt = t64(x, requires_grad=True), t64(w, requires_grad=True)
-    out = op(xt, wt, t64(np.zeros(w.shape[-1])), **kw)
+    out = op(xt, wt, t64(np.zeros(bias_len or w.shape[-1])), **kw)
     g = rng.standard_normal(out.data.shape)
     out._bwd(g)
     lhs = float((out.data * g).sum())
@@ -228,6 +229,56 @@ class TestDeconv3d:
         with pytest.raises(ValueError):
             deconv3d(t64(np.zeros((2, 2, 2, 4))), t64(np.zeros((3, 3, 3, 2, 6))),
                      t64(np.zeros(2)))
+
+
+class TestRowBlocks:
+    """The oracles above, with the per-tap loops under a 7-row block: every
+    case spans several blocks and ends in a ragged one, while the cases
+    above fit in one 2048-row block."""
+
+    BLOCK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(convops, "_BLOCK_ROWS", self.BLOCK)
+
+    def _assert_blocked(self, spatial, stride, cin, cout):
+        grid = convops._grid(spatial, 3, stride, "same")
+        assert convops._per_tap(cin, cout)
+        assert grid.span > 2 * self.BLOCK and grid.span % self.BLOCK
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d(self, stride):
+        rng = np.random.default_rng(50 + stride)
+        x = rng.standard_normal((7, 9, 4))
+        w = rng.standard_normal((3, 3, 4, 3))
+        b = rng.standard_normal(3)
+        self._assert_blocked(x.shape[:2], stride, 4, 3)
+        out = conv2d(t64(x), t64(w), t64(b), stride=stride)
+        np.testing.assert_allclose(out.data, brute_conv2d(x, w, b, stride), atol=1e-12)
+        _check_backward_is_adjoint(conv2d, x, w, stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv3d(self, stride):
+        rng = np.random.default_rng(60 + stride)
+        x = rng.standard_normal((4, 6, 4, 3))
+        w = rng.standard_normal((3, 3, 3, 3, 2))
+        b = rng.standard_normal(2)
+        self._assert_blocked(x.shape[:3], stride, 3, 2)
+        out = conv3d(t64(x), t64(w), t64(b), stride=stride)
+        np.testing.assert_allclose(out.data, brute_conv3d(x, w, b, stride), atol=1e-12)
+        _check_backward_is_adjoint(conv3d, x, w, stride=stride)
+
+    def test_deconv3d(self):
+        rng = np.random.default_rng(70)
+        x = rng.standard_normal((4, 6, 4, 3))
+        y = rng.standard_normal((2, 3, 2, 2))
+        w = rng.standard_normal((3, 3, 3, 3, 2))
+        self._assert_blocked(x.shape[:3], 2, 3, 2)
+        lhs = float((conv3d(t64(x), t64(w), t64(np.zeros(2)), stride=2).data * y).sum())
+        rhs = float((x * deconv3d(t64(y), t64(w), t64(np.zeros(3))).data).sum())
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+        _check_backward_is_adjoint(deconv3d, y, w, bias_len=3)
 
 
 class TestConvGradients:
