@@ -50,7 +50,8 @@ class Tensor:
 
     ``grad`` stays ``None`` until ``backward`` reaches the tensor.  Leaf
     tensors are created directly; interior nodes are created by ops via
-    ``make_op`` and carry their parents and a backward closure.
+    ``make_op`` and carry their parents and a backward closure, which
+    ``backward`` frees, with the gradient, once it has run.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
@@ -161,8 +162,16 @@ def accumulate(t: Tensor, g) -> None:
             t.grad = t.grad + g
 
 
+def _freed(g):
+    raise RuntimeError("backward through a graph that an earlier backward already freed")
+
+
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through the recorded graph."""
+    """Backpropagate from a scalar loss, freeing the graph as the walk goes.
+
+    A node drops its gradient, closure and parents once its closure has run;
+    leaves keep their gradients.  A second walk through it raises.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     topo = []
@@ -182,9 +191,11 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
+            node.grad, node._bwd, node._parents = None, _freed, ()
 
 
 class Tape:

@@ -158,6 +158,8 @@ def _cmd_adapt(args) -> int:
     from .network import init_weights
     from .training import LossLog, load_weights, online_adapt, save_weights
 
+    if args.iterations is not None and args.iterations < 1:
+        raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
     cfg = _load_config(args)
     manifest = DatasetManifest.load(args.manifest)
     weights = init_weights(cfg.net, seed=cfg.train.seed)

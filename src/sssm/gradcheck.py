@@ -210,7 +210,7 @@ def _stereo_checks(seed):
             checks.append((
                 f"feature_volume_{direction}{suffix}",
                 lambda fa=fa, fb=fb, d=direction, n=depth:
-                    _project(build_feature_volume(fa, fb, 3, d, n).values),
+                    _project(build_feature_volume(fa, fb, 3, d, n)),
                 [fa, fb],
             ))
     costs = _t(rng, 3, 4, 6, low=-2.0, high=2.0)

@@ -65,14 +65,6 @@ class NetConfig:
 
 
 @dataclass
-class FeatureVolume:
-    """A matching volume plus the shift direction that built it."""
-
-    values: Tensor
-    direction: str
-
-
-@dataclass
 class NetworkWeights:
     """All trainable parameters, registered on one tape in a fixed order."""
 
@@ -156,10 +148,10 @@ def _volume_geometry(f_first: Tensor, f_second: Tensor, max_disparity: int, dire
 
 
 def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, direction: str,
-                         depth: int | None = None) -> FeatureVolume:
+                         depth: int | None = None) -> Tensor:
     """Stack per-candidate-disparity feature concatenations.
 
-    Output values have shape (H, W, depth, 2F), depth D+1 by default.  At
+    The output has shape (H, W, depth, 2F), depth D+1 by default.  At
     (u, v, d) with d <= D the first F channels are f_first(u, v); the last F
     are f_second sampled at u - d (direction "lr") or u + d (direction
     "rl").  Out-of-range samples are zero, which marks them as
@@ -191,7 +183,7 @@ def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, 
                     gs[:, d:] += g[:, : w - d, d, f:]
             accumulate(f_second, gs)
 
-    return FeatureVolume(values=make_op(vol, (f_first, f_second), bwd), direction=direction)
+    return make_op(vol, (f_first, f_second), bwd)
 
 
 def _row_taps(f: np.ndarray) -> np.ndarray:
@@ -381,7 +373,7 @@ def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
     """Predict (d_left, d_right) for a rectified pair, sharing all weights.
 
     Accepts ndarrays or Tensors.  Requires H and W divisible by
-    2^restdm_scales (``training.infer`` pads arbitrary sizes).  ``res_tdm``
+    2^restdm_scales (``training`` pads arbitrary sizes).  ``res_tdm``
     regularises each direction's matching volume straight from the two
     feature maps, so no volume is materialised; its costs carry zero
     slices up to the nearest multiple on the disparity axis and are cropped

@@ -4,6 +4,10 @@ One iteration is: sample a pair and a crop, run the network on both views,
 evaluate the warping losses, backpropagate, apply one RMSProp update.
 Batch size is one pair by design.
 
+``infer``, ``train_step`` and ``online_adapt`` share one frame policy: a
+frame of any size is edge-padded up to the network's scale factor and both
+disparity maps are cropped back, so predictions and losses cover the frame.
+
 Determinism contract: the RNG for iteration i is seeded with (seed, i), so
 a run is a pure function of (seed, initial weights, dataset) and resuming
 from a checkpoint at iteration k reproduces the uninterrupted run exactly,
@@ -19,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, crop, no_grad
 from .data import StereoPair
 from .losses import LossReport, LossWeights, reconstruction_error, total_loss
 from .network import NetConfig, NetworkWeights, forward
@@ -151,10 +155,22 @@ def load_optimizer(path, weights: NetworkWeights) -> OptimizerState:
     return OptimizerState(acc=arrays, iteration=iteration)
 
 
+def _forward_frame(weights: NetworkWeights, left, right) -> tuple[Tensor, Tensor]:
+    """Both disparity maps of a frame by the frame policy; divisible frames go straight through."""
+    h, w = left.shape[:2]
+    sf = weights.config.scale_factor
+    if not (h % sf or w % sf):
+        return forward(left, right, weights)
+    pads = ((0, -h % sf), (0, -w % sf), (0, 0))
+    d_l, d_r = forward(np.pad(left, pads, mode="edge"), np.pad(right, pads, mode="edge"), weights)
+    return crop(d_l, ((0, h), (0, w))), crop(d_r, ((0, h), (0, w)))
+
+
 def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
                cfg: TrainConfig, lw: LossWeights, opt: OptimizerState,
                margin: int) -> tuple[LossReport, np.ndarray, np.ndarray]:
-    """One optimisation step on one pair; returns the report and predictions.
+    """One optimisation step on one frame; returns the report and the
+    predictions, which are made before the update.
 
     Raises NonFiniteLossError if any loss term is NaN or infinite, and
     FloatingPointError naming the first parameter whose gradient is; both
@@ -162,10 +178,9 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
     """
     i = opt.iteration
     weights.tape.zero_grad()
-    i_l, i_r = Tensor(left), Tensor(right)
-    d_l, d_r = forward(i_l, i_r, weights)
+    d_l, d_r = _forward_frame(weights, left, right)
     live = replace(lw, w_smooth=cfg.smooth_at(i))
-    total, report = total_loss(i_l, i_r, d_l, d_r, live, margin)
+    total, report = total_loss(Tensor(left), Tensor(right), d_l, d_r, live, margin)
     if not all(np.isfinite(v) for v in astuple(report)):
         raise NonFiniteLossError(i, report)
     weights.tape.backward(total)
@@ -279,22 +294,10 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
 
 
 def infer(weights: NetworkWeights, pair: StereoPair) -> tuple[np.ndarray, np.ndarray]:
-    """Predict both disparity maps at any input size, without recording.
-
-    Dims are edge-padded up to the required multiple and the outputs
-    cropped back.
-    """
-    h, w = pair.shape
-    sf = weights.config.scale_factor
-    ph, pw = (-h) % sf, (-w) % sf
-    left, right = pair.left, pair.right
-    if ph or pw:
-        pads = ((0, ph), (0, pw), (0, 0))
-        left = np.pad(left, pads, mode="edge")
-        right = np.pad(right, pads, mode="edge")
+    """Predict both disparity maps at any input size, without recording."""
     with no_grad():
-        d_l, d_r = forward(Tensor(left), Tensor(right), weights)
-    return d_l.data[:h, :w], d_r.data[:h, :w]
+        d_l, d_r = _forward_frame(weights, pair.left, pair.right)
+    return d_l.data, d_r.data
 
 
 @dataclass
@@ -313,26 +316,16 @@ def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
                  margin: int | None = None):
     """Self-improving inference: emit predictions, then learn from the pair.
 
-    Yields an AdaptResult per input pair; the emitted disparities are
-    computed before the weight update, so the first result matches plain
-    ``infer`` with the incoming weights.  With learning rate 0 the whole
-    stream degenerates to inference exactly.
-
-    Updates run on the full frame, centre-cropped only if the dims are not
-    divisible by the network's scale factor.  The warping error scores the
-    emitted predictions on the full frame.
+    Yields an AdaptResult per input pair from one ``train_step``: the maps
+    emitted are the ones its loss is taken on, made before the update, so
+    the first result matches plain ``infer`` with the incoming weights and
+    with learning rate 0 the whole stream is inference exactly.  The
+    warping error scores the emitted predictions.
     """
     lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
     margin = default_margin(weights.config) if margin is None else margin
-    sf = weights.config.scale_factor
     for index, pair in enumerate(pairs):
-        d_l, d_r = infer(weights, pair)
+        report, d_l, d_r = train_step(weights, pair.left, pair.right, cfg, lw, opt, margin)
         warp_err = reconstruction_error(pair.left, pair.right, d_l, d_r, margin)
-        h, w = pair.shape
-        ch, cw = h - h % sf, w - w % sf
-        y0, x0 = (h - ch) // 2, (w - cw) // 2
-        left = np.ascontiguousarray(pair.left[y0:y0 + ch, x0:x0 + cw])
-        right = np.ascontiguousarray(pair.right[y0:y0 + ch, x0:x0 + cw])
-        report, _, _ = train_step(weights, left, right, cfg, lw, opt, margin)
         yield AdaptResult(index=index, d_left=d_l, d_right=d_r, report=report, warp_error=warp_err)

@@ -121,7 +121,7 @@ def test_criterion_2_feature_volume_oracle():
         direction = LEFT_TO_RIGHT if trial % 2 == 0 else RIGHT_TO_LEFT
         f1 = rng.standard_normal((h, w, f)).astype(np.float32)
         f2 = rng.standard_normal((h, w, f)).astype(np.float32)
-        vol = build_feature_volume(Tensor(f1), Tensor(f2), d_max, direction).values.data
+        vol = build_feature_volume(Tensor(f1), Tensor(f2), d_max, direction).data
         np.testing.assert_array_equal(vol, _brute_volume(f1, f2, d_max, direction))
     return "20/20 exact, both directions"
 

@@ -207,6 +207,52 @@ class TestBackward:
         assert peak < 1.5 * x.data.nbytes
         assert x.grad.sum() == 16.0
 
+    def test_second_backward_through_freed_graph_raises(self):
+        # a graph kept after backward would take the gradient a second time
+        x = t64([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, x)
+        loss = ad.sum_reduce(y)
+        ad.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="freed"):
+            ad.backward(loss)
+        with pytest.raises(RuntimeError, match="freed"):
+            ad.backward(ad.sum_reduce(ad.scale(y, 2.0)))
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        c = t64([3.0, 4.0])
+        y = ad.mul(x, c)
+        z = ad.relu(y)
+        loss = ad.sum_reduce(z)
+        ad.backward(loss)
+        for node in (y, z, loss):
+            assert node.grad is None and node._parents == ()
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        assert c.grad is None  # a constant never gets one
+
+    def test_backward_holds_few_gradients_at_once(self):
+        # a chain of eight relus: freeing as the walk goes keeps about two
+        # gradients alive, where keeping them all would hold eight
+        def chain(x):
+            y = x
+            for _ in range(8):
+                y = ad.relu(y)
+            return ad.sum_reduce(y)
+
+        x = t64(np.ones(1 << 17), requires_grad=True)
+        loss = chain(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.data.nbytes
+        np.testing.assert_array_equal(x.grad, 1.0)
+
     def test_check_finite_toggle(self):
         x = t64([1.0], requires_grad=True)
         ad.set_check_finite(True)

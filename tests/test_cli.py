@@ -200,6 +200,18 @@ class TestInferEvalFlow:
         log = (out / "adapt_log.csv").read_text().splitlines()
         assert len(log) == 4
 
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_adapt_rejects_fewer_than_one_iteration_before_writing(self, micro_env, tmp_path,
+                                                                   iterations):
+        out = tmp_path / "adapted"
+        result = run_cli("adapt", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--checkpoint", str(micro_env / "run" / "weights.sssmw"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                         "--iterations", iterations)
+        assert result.returncode == 1
+        assert "--iterations" in result.stderr
+        assert not out.exists()
+
 
 class TestGradcheck:
     def test_exits_0_and_reports_all_ops(self):

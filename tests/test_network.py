@@ -133,36 +133,36 @@ class TestFeatureVolume:
         f1 = rng.standard_normal((h, w, f)).astype(np.float32)
         f2 = rng.standard_normal((h, w, f)).astype(np.float32)
         vol = build_feature_volume(Tensor(f1), Tensor(f2), d_max, direction)
-        np.testing.assert_array_equal(vol.values.data, brute_volume(f1, f2, d_max, direction))
+        np.testing.assert_array_equal(vol.data, brute_volume(f1, f2, d_max, direction))
         # padded depth: the extra slices are zero in both halves
         depth = d_max + 1 + int(rng.integers(1, 4))
         vol = build_feature_volume(Tensor(f1), Tensor(f2), d_max, direction, depth)
-        np.testing.assert_array_equal(vol.values.data, brute_volume(f1, f2, d_max, direction, depth))
+        np.testing.assert_array_equal(vol.data, brute_volume(f1, f2, d_max, direction, depth))
 
     def test_zero_shift_slice_is_plain_concat(self):
         rng = np.random.default_rng(3)
         f1 = rng.standard_normal((3, 5, 2)).astype(np.float32)
         f2 = rng.standard_normal((3, 5, 2)).astype(np.float32)
-        vol = build_feature_volume(Tensor(f1), Tensor(f2), 2, LEFT_TO_RIGHT).values.data
+        vol = build_feature_volume(Tensor(f1), Tensor(f2), 2, LEFT_TO_RIGHT).data
         np.testing.assert_array_equal(vol[:, :, 0], np.concatenate([f1, f2], axis=2))
 
     def test_out_of_range_entries_zero(self):
         f = np.ones((2, 4, 1), dtype=np.float32)
-        lr = build_feature_volume(Tensor(f), Tensor(f), 3, LEFT_TO_RIGHT).values.data
+        lr = build_feature_volume(Tensor(f), Tensor(f), 3, LEFT_TO_RIGHT).data
         # u - d < 0 has no counterpart
         for d in range(4):
             np.testing.assert_array_equal(lr[:, :d, d, 1:], 0.0)
-        rl = build_feature_volume(Tensor(f), Tensor(f), 3, RIGHT_TO_LEFT).values.data
+        rl = build_feature_volume(Tensor(f), Tensor(f), 3, RIGHT_TO_LEFT).data
         for d in range(1, 4):
             np.testing.assert_array_equal(rl[:, 4 - d:, d, 1:], 0.0)
 
     def test_shape(self):
         vol = build_feature_volume(Tensor(np.zeros((4, 5, 3), np.float32)),
                                    Tensor(np.zeros((4, 5, 3), np.float32)), 2, LEFT_TO_RIGHT)
-        assert vol.values.data.shape == (4, 5, 3, 6)
+        assert vol.data.shape == (4, 5, 3, 6)
         vol = build_feature_volume(Tensor(np.zeros((4, 5, 3), np.float32)),
                                    Tensor(np.zeros((4, 5, 3), np.float32)), 2, LEFT_TO_RIGHT, 4)
-        assert vol.values.data.shape == (4, 5, 4, 6)
+        assert vol.data.shape == (4, 5, 4, 6)
 
     def test_validation(self):
         f = Tensor(np.zeros((3, 4, 2), np.float32))
@@ -180,13 +180,13 @@ class TestFeatureVolume:
         f1 = Tensor(np.ones((2, 4, 1), np.float32), requires_grad=True)
         f2 = Tensor(np.ones((2, 4, 1), np.float32), requires_grad=True)
         vol = build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT)
-        ad.backward(ad.sum_reduce(vol.values))
+        ad.backward(ad.sum_reduce(vol))
         np.testing.assert_array_equal(f1.grad, np.full((2, 4, 1), 3.0))
         # column u of f2 is read at (u, 0), (u+1, 1), (u+2, 2) while in range
         np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
         # the zero slices of a padded volume send no gradient back
         f1.grad = f2.grad = None
-        ad.backward(ad.sum_reduce(build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT, 4).values))
+        ad.backward(ad.sum_reduce(build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT, 4)))
         np.testing.assert_array_equal(f1.grad, np.full((2, 4, 1), 3.0))
         np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
 
@@ -205,7 +205,7 @@ class TestVolumeConv:
             for t in inputs:
                 t.grad = None
             if explicit:
-                out = conv3d(build_feature_volume(f1, f2, d_max, direction, depth).values, k, b, stride=2)
+                out = conv3d(build_feature_volume(f1, f2, d_max, direction, depth), k, b, stride=2)
             else:
                 out = volume_conv(f1, f2, k, b, d_max, direction, depth)
             upstream = Tensor(np.random.default_rng(1).standard_normal(out.data.shape), dtype=dtype)
@@ -388,7 +388,7 @@ class TestForward:
         for d_max in (0, 3, 8):
             lr = build_feature_volume(Tensor(f1), Tensor(f2), d_max, LEFT_TO_RIGHT)
             rl = build_feature_volume(Tensor(m1), Tensor(m2), d_max, RIGHT_TO_LEFT)
-            np.testing.assert_array_equal(lr.values.data[:, ::-1], rl.values.data)
+            np.testing.assert_array_equal(lr.data[:, ::-1], rl.data)
 
     @pytest.mark.xfail(reason="the learned operators are not mirror-equivariant: "
                        "conv kernels have no left-right symmetry (corr(Mx, W) = "

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sssm import synth
-from sssm.autodiff import Tensor
+from sssm.autodiff import Tensor, no_grad
 from sssm.data import StereoPair
-from sssm.losses import LossReport, LossWeights, reconstruction_error
+from sssm.losses import LossReport, LossWeights, reconstruction_error, total_loss
 from sssm.network import NetConfig, forward, init_weights
 from sssm.training import (
     LOG_COLUMNS,
@@ -347,11 +347,19 @@ class TestInfer:
         d_l, d_r = infer(weights, pair)
         assert d_l.shape == (15, 31)
         assert d_r.shape == (15, 31)
+        # the frame is edge-padded at the bottom and right, and the maps are
+        # its top-left corner of the padded forward
+        pads = ((0, 1), (0, 1), (0, 0))
+        ref_l, ref_r = forward(np.pad(pair.left, pads, mode="edge"),
+                               np.pad(pair.right, pads, mode="edge"), weights)
+        np.testing.assert_array_equal(d_l, ref_l.data[:15, :31])
+        np.testing.assert_array_equal(d_r, ref_r.data[:15, :31])
 
 
 class TestOnlineAdapt:
-    def test_zero_lr_stream_equals_plain_inference(self):
-        pairs = _micro_pairs(3)
+    @pytest.mark.parametrize("h, w", [(16, 32), (15, 33)], ids=["16x32", "15x33"])
+    def test_zero_lr_stream_equals_plain_inference(self, h, w):
+        pairs = _micro_pairs(3, h=h, w=w)
         weights = init_weights(MICRO, seed=4)
         frozen = {n: t.data.copy() for n, t in weights.named().items()}
         cfg = _micro_cfg(learning_rate=0.0, dropped_learning_rate=0.0)
@@ -385,17 +393,38 @@ class TestOnlineAdapt:
         results = list(online_adapt(weights, pairs, _micro_cfg()))
         assert np.abs(results[1].d_left - frozen_second).max() > 0
 
-    def test_crops_center_for_indivisible_frames(self):
-        pairs = [synth.synth_pair((0, i), 15, 33, synth.constant_field(1.5)) for i in range(2)]
+    def test_one_forward_per_frame_learns_on_the_whole_frame(self, monkeypatch):
+        # 15x33 is not a multiple of the scale factor: the frame is padded
+        # for the one forward, and both the emitted maps and the loss cover
+        # exactly the frame.
+        import sssm.training as training_mod
+
+        calls = []
+
+        def counting_forward(left, right, weights):
+            calls.append(left.shape)
+            return forward(left, right, weights)
+
+        monkeypatch.setattr(training_mod, "forward", counting_forward)
+        pairs = [synth.synth_pair((0, i), 15, 33, synth.constant_field(1.5)) for i in range(3)]
         weights = init_weights(MICRO, seed=0)
-        results = list(online_adapt(weights, pairs, _micro_cfg()))
-        assert results[0].d_left.shape == (15, 33)
-        assert results[1].report.total >= 0 or True  # stream completes
+        cfg = _micro_cfg(smooth_switch_iteration=1)
+        lw = LossWeights()
+        margin = default_margin(MICRO)
+        for i, (pair, result) in enumerate(zip(pairs, online_adapt(weights, pairs, cfg, lw))):
+            assert len(calls) == i + 1
+            assert result.d_left.shape == result.d_right.shape == (15, 33)
+            with no_grad():
+                _, report = total_loss(Tensor(pair.left), Tensor(pair.right), Tensor(result.d_left),
+                                       Tensor(result.d_right),
+                                       dataclasses.replace(lw, w_smooth=cfg.smooth_at(i)), margin)
+            assert result.report == report
+        assert calls == [(16, 36, 3)] * 3
 
     @pytest.mark.parametrize("margin", [None, 2])
     def test_warp_error_scores_the_emitted_frame(self, margin):
-        # indivisible frames: the update runs on a centre crop, the warping
-        # error on the full frame with the emitted predictions
+        # indivisible frames: the warping error scores the emitted
+        # predictions on the full frame
         pairs = [synth.synth_pair((1, i), 15, 33, synth.constant_field(1.5)) for i in range(2)]
         weights = init_weights(MICRO, seed=0)
         m = default_margin(MICRO) if margin is None else margin
