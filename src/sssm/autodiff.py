@@ -1,9 +1,19 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A Tensor wraps an ndarray and remembers the operation that produced it as a
-closure; ``backward`` replays those closures in reverse topological order.
-float32 is the working precision for training, float64 is supported end to
-end so finite-difference oracles can run at full accuracy.
+A Tensor wraps an ndarray.  A Tensor that needs a gradient also holds a
+``Node``: the graph record, with the gradient, the parent nodes and the
+backward closure of the op that made it, but no values.  ``backward``
+replays those closures in reverse topological order.  float32 is the
+working precision for training, float64 is supported end to end so
+finite-difference oracles can run at full accuracy.
+
+The rule for writing an op: take each parent's ``sink`` (its node, or None
+when no gradient flows to it) and let the backward closure capture those
+sinks plus only the arrays it reads, never a parent Tensor.  An array then
+dies as soon as the caller drops its last Tensor, unless backward reads
+it: ``relu`` keeps a boolean mask of its output, ``exp`` its output, and
+``add``, ``reshape`` and ``crop`` keep nothing.  ``make_op`` wraps the
+result and links the parents' nodes.
 
 Elementwise binary ops require exactly equal shapes: there is no implicit
 broadcasting, shape changes go through explicit ops (``repeat``, ``reshape``,
@@ -45,16 +55,31 @@ class no_grad:
         return False
 
 
-class Tensor:
-    """A dense array plus the bookkeeping needed for reverse-mode autodiff.
+class Node:
+    """One tensor's place in the graph: gradient, parent nodes, backward closure.
 
-    ``grad`` stays ``None`` until ``backward`` reaches the tensor.  Leaf
-    tensors are created directly; interior nodes are created by ops via
-    ``make_op`` and carry their parents and a backward closure, which
-    ``backward`` frees, with the gradient, once it has run.
+    A leaf's node has no parents and no closure.  The dtype is the only
+    trace of the values; ``accumulate`` casts the first gradient to it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("grad", "parents", "bwd", "dtype")
+
+    def __init__(self, dtype, parents=(), bwd=None):
+        self.grad = None
+        self.parents = parents
+        self.bwd = bwd
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense array plus, when it needs a gradient, its graph ``Node``.
+
+    Leaf tensors are created directly; interior ones by ops via ``make_op``.
+    ``grad``, ``_parents`` and ``_bwd`` read and write the node, which
+    ``backward`` frees once its closure has run.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -63,10 +88,34 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = np.ascontiguousarray(arr, dtype=DEFAULT_DTYPE)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._bwd = None
+        self._node = Node(arr.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ValueError("cannot set the gradient of a tensor that does not require grad")
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _bwd(self):
+        return None if self._node is None else self._node.bwd
+
+    @_bwd.setter
+    def _bwd(self, fn):
+        self._node.bwd = fn
 
     @property
     def shape(self):
@@ -125,41 +174,44 @@ class Tensor:
         return neg(self)
 
 
+def sink(t: Tensor) -> Node | None:
+    """Where an op's backward sends ``t``'s gradient: its node, or None when
+    no gradient flows to it (``t`` needs none, or recording is off)."""
+    return t._node if _grad_enabled else None
+
+
 def make_op(data: np.ndarray, parents: tuple, bwd) -> Tensor:
     """Wrap an op result, recording ``bwd`` if any parent needs gradients.
 
     ``bwd`` receives the output gradient and must push gradients to the
-    parents with ``accumulate``.  When recording is off (``no_grad``) or no
+    parents' sinks with ``accumulate``.  The new node links the parents'
+    nodes, not the parents.  When recording is off (``no_grad``) or no
     parent requires grad, the result is a detached leaf.
     """
     if _check_finite and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values in op output")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._bwd = bwd
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._bwd = None
+    out._node = None
+    if _grad_enabled:
+        links = tuple(p._node for p in parents if p._node is not None)
+        if links:
+            out._node = Node(data.dtype, links, bwd)
     return out
 
 
-def accumulate(t: Tensor, g) -> None:
-    """Add ``g`` into ``t.grad``.
+def accumulate(node: Node | None, g) -> None:
+    """Add ``g`` into ``node.grad``; a None sink takes nothing.
 
     Gradients are read-only by convention: the first one is taken without a
     copy (it may alias an upstream buffer or another tensor's gradient) and
     later ones are added out of place, so no gradient buffer is mutated.
     """
-    if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.asarray(g, dtype=t.data.dtype)
+    if node is not None:
+        if node.grad is None:
+            node.grad = np.asarray(g, dtype=node.dtype)
         else:
-            t.grad = t.grad + g
+            node.grad = node.grad + g
 
 
 def _freed(g):
@@ -174,9 +226,12 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    root = loss._node
+    if root is None:
+        return
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -186,16 +241,16 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
+    if root.grad is None:
+        root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._bwd is not None and node.grad is not None:
-            node._bwd(node.grad)
-            node.grad, node._bwd, node._parents = None, _freed, ()
+        if node.bwd is not None and node.grad is not None:
+            node.bwd(node.grad)
+            node.grad, node.bwd, node.parents = None, _freed, ()
 
 
 class Tape:
@@ -240,30 +295,38 @@ def _check_same(a: Tensor, b: Tensor, opname: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "add")
+    sa, sb = sink(a), sink(b)
 
     def bwd(g):
-        accumulate(a, g)
-        accumulate(b, g)
+        accumulate(sa, g)
+        accumulate(sb, g)
 
     return make_op(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "sub")
+    sa, sb = sink(a), sink(b)
 
     def bwd(g):
-        accumulate(a, g)
-        accumulate(b, -g)
+        accumulate(sa, g)
+        accumulate(sb, -g)
 
     return make_op(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "mul")
+    sa, sb = sink(a), sink(b)
+    # each side's gradient reads the other side's values
+    b_data = b.data if sa is not None else None
+    a_data = a.data if sb is not None else None
 
     def bwd(g):
-        accumulate(a, g * b.data)
-        accumulate(b, g * a.data)
+        if sa is not None:
+            accumulate(sa, g * b_data)
+        if sb is not None:
+            accumulate(sb, g * a_data)
 
     return make_op(a.data * b.data, (a, b), bwd)
 
@@ -271,62 +334,79 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "div")
     out_data = a.data / b.data
+    sa, sb = sink(a), sink(b)
+    b_data = b.data
+    quotient = out_data if sb is not None else None
 
     def bwd(g):
-        inv_b = g / b.data
-        accumulate(a, inv_b)
-        accumulate(b, -inv_b * out_data)
+        inv_b = g / b_data
+        accumulate(sa, inv_b)
+        if sb is not None:
+            accumulate(sb, -inv_b * quotient)
 
     return make_op(out_data, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
+    sa = sink(a)
+
     def bwd(g):
-        accumulate(a, -g)
+        accumulate(sa, -g)
 
     return make_op(-a.data, (a,), bwd)
 
 
 def abs_(a: Tensor) -> Tensor:
     """Elementwise absolute value; the subgradient at 0 is 0."""
+    sa, a_data = sink(a), a.data
 
     def bwd(g):
-        accumulate(a, g * np.sign(a.data))
+        accumulate(sa, g * np.sign(a_data))
 
     return make_op(np.abs(a.data), (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
+    sa = sink(a)
 
     def bwd(g):
-        accumulate(a, g * out_data)
+        accumulate(sa, g * out_data)
 
     return make_op(out_data, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at 0 is 0."""
+    """max(x, 0); the subgradient at 0 is 0.
+
+    Backward keeps only where the output is positive, which is where the
+    input is.
+    """
     out_data = np.maximum(a.data, 0)
+    sa = sink(a)
+    mask = out_data > 0 if sa is not None else None
 
     def bwd(g):
-        accumulate(a, g * (a.data > 0))
+        accumulate(sa, g * mask)
 
     return make_op(out_data, (a,), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
+    sa = sink(a)
 
     def bwd(g):
-        accumulate(a, g * s)
+        accumulate(sa, g * s)
 
     return make_op(a.data * a.data.dtype.type(s), (a,), bwd)
 
 
 def add_scalar(a: Tensor, s: float) -> Tensor:
+    sa = sink(a)
+
     def bwd(g):
-        accumulate(a, g)
+        accumulate(sa, g)
 
     return make_op(a.data + a.data.dtype.type(s), (a,), bwd)
 
@@ -337,17 +417,19 @@ def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
         if not -a.data.ndim <= axis < a.data.ndim:
             raise ValueError(f"reduce: axis {axis} out of range for shape {a.data.shape}")
         axis = axis % a.data.ndim
-    n = a.data.size if axis is None else a.data.shape[axis]
+    shape = a.data.shape
+    n = a.data.size if axis is None else shape[axis]
     out_data = a.data.mean(axis=axis) if mean else a.data.sum(axis=axis)
     if axis is None:
         out_data = np.asarray(out_data, dtype=a.data.dtype)
+    sa = sink(a)
 
     def bwd(g):
         gg = g / n if mean else g
         if axis is None:
-            accumulate(a, np.broadcast_to(gg, a.data.shape))
+            accumulate(sa, np.broadcast_to(gg, shape))
         else:
-            accumulate(a, np.broadcast_to(np.expand_dims(gg, axis), a.data.shape))
+            accumulate(sa, np.broadcast_to(np.expand_dims(gg, axis), shape))
 
     return make_op(out_data, (a,), bwd)
 
@@ -368,10 +450,11 @@ def repeat(a: Tensor, repeats: int, axis: int) -> Tensor:
     if repeats < 1:
         raise ValueError("repeat: repeats must be >= 1")
     shape = a.data.shape
+    sa = sink(a)
 
     def bwd(g):
         folded = g.reshape(shape[:axis] + (shape[axis], repeats) + shape[axis + 1:])
-        accumulate(a, folded.sum(axis=axis + 1))
+        accumulate(sa, folded.sum(axis=axis + 1))
 
     return make_op(np.repeat(a.data, repeats, axis=axis), (a,), bwd)
 
@@ -379,9 +462,10 @@ def repeat(a: Tensor, repeats: int, axis: int) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.data.shape
+    sa = sink(a)
 
     def bwd(g):
-        accumulate(a, g.reshape(old))
+        accumulate(sa, g.reshape(old))
 
     return make_op(a.data.reshape(shape).copy(), (a,), bwd)
 
@@ -394,11 +478,13 @@ def crop(a: Tensor, bounds) -> Tensor:
     out_data = a.data[slices]
     if out_data.size == 0:
         raise ValueError(f"crop: empty result from bounds {bounds} on shape {a.data.shape}")
+    shape, dtype = a.data.shape, a.data.dtype
+    sa = sink(a)
 
     def bwd(g):
-        gx = np.zeros_like(a.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[slices] = g
-        accumulate(a, gx)
+        accumulate(sa, gx)
 
     return make_op(np.ascontiguousarray(out_data), (a,), bwd)
 
@@ -409,9 +495,10 @@ def pad_zero(a: Tensor, pads) -> Tensor:
         raise ValueError(f"pad_zero: {len(pads)} pad pairs for {a.data.ndim} axes")
     pads = tuple((int(p[0]), int(p[1])) for p in pads)
     slices = tuple(slice(p[0], p[0] + n) for p, n in zip(pads, a.data.shape))
+    sa = sink(a)
 
     def bwd(g):
-        accumulate(a, g[slices])
+        accumulate(sa, g[slices])
 
     return make_op(np.pad(a.data, pads), (a,), bwd)
 
@@ -422,10 +509,11 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
+    sa = sink(a)
 
     def bwd(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        accumulate(a, out_data * (g - dot))
+        accumulate(sa, out_data * (g - dot))
 
     return make_op(out_data, (a,), bwd)
 
@@ -450,9 +538,11 @@ def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
     n = a.data.shape[ax]
     if n < order + 1:
         raise ValueError(f"spatial_gradients: extent {n} too small for order {order}")
+    shape, dtype = a.data.shape, a.data.dtype
+    sa = sink(a)
 
     def sl(s):
-        idx = [slice(None)] * a.data.ndim
+        idx = [slice(None)] * len(shape)
         idx[ax] = s
         return tuple(idx)
 
@@ -462,10 +552,10 @@ def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
 
         def bwd(g):
             gi = g[sl(slice(0, n - 1))]
-            gx = np.zeros_like(a.data)
+            gx = np.zeros(shape, dtype=dtype)
             gx[sl(slice(1, n))] += gi
             gx[sl(slice(0, n - 1))] -= gi
-            accumulate(a, gx)
+            accumulate(sa, gx)
 
     else:
         out_data[sl(slice(1, n - 1))] = (
@@ -474,11 +564,11 @@ def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
 
         def bwd(g):
             gi = g[sl(slice(1, n - 1))]
-            gx = np.zeros_like(a.data)
+            gx = np.zeros(shape, dtype=dtype)
             gx[sl(slice(2, n))] += gi
             gx[sl(slice(1, n - 1))] -= 2 * gi
             gx[sl(slice(0, n - 2))] += gi
-            accumulate(a, gx)
+            accumulate(sa, gx)
 
     return make_op(out_data, (a,), bwd)
 
@@ -497,10 +587,12 @@ def mean_pool3x3(a: Tensor) -> Tensor:
         for dx in range(3):
             acc += xp[dy:dy + h, dx:dx + w]
     ninth = a.data.dtype.type(1.0 / 9.0)
+    padded_shape, dtype = xp.shape, xp.dtype
+    sa = sink(a)
 
     def bwd(g):
         gn = g * ninth
-        gp = np.zeros_like(xp)
+        gp = np.zeros(padded_shape, dtype=dtype)
         for dy in range(3):
             for dx in range(3):
                 gp[dy:dy + h, dx:dx + w] += gn
@@ -514,6 +606,6 @@ def mean_pool3x3(a: Tensor) -> Tensor:
         gx[0, -1] += gp[0, -1]
         gx[-1, 0] += gp[-1, 0]
         gx[-1, -1] += gp[-1, -1]
-        accumulate(a, gx)
+        accumulate(sa, gx)
 
     return make_op(acc * ninth, (a,), bwd)

@@ -20,10 +20,11 @@ Three helpers serve every direction: ``_correlate`` (forward),
 shifted row ranges).  ``deconv3d``'s forward is ``_correlate_input`` and its
 backward is the other two, so it is the adjoint of stride-2 ``conv3d`` by
 construction.  Backward keeps only the padded input phases, about 1x the
-input, and only when the kernel needs a gradient.  Where the phase side has
-few channels the per-tap GEMMs degenerate, so the helpers stack the shifted
-row ranges into one small transient column matrix instead (``_per_tap``),
-built over the whole grid rather than in blocks.
+input (``deconv3d`` keeps its input), and only when the kernel needs a
+gradient.  Where the phase side has few channels the per-tap GEMMs
+degenerate, so the helpers stack the shifted row ranges into one small
+transient column matrix instead (``_per_tap``), built over the whole grid
+rather than in blocks.
 
 Data layouts: images are (H, W, C), volumes are (H, W, D, C).  2D kernels
 are (k, k, Cin, Cout) indexed (dy, dx, cin, cout); 3D kernels are
@@ -38,7 +39,7 @@ import functools
 
 import numpy as np
 
-from .autodiff import Tensor, accumulate, make_op
+from .autodiff import Tensor, accumulate, make_op, sink
 
 
 def _same_pads(n: int, k: int, stride: int) -> tuple[int, int, int]:
@@ -233,16 +234,18 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str,
     w = kernel.data.reshape(k ** nd, cin, cout)
     ph = grid.phases(x.data)
     out_data = grid.extract(_correlate(ph, w, grid)) + bias.data
-    cached = ph if kernel.requires_grad else None
+    sx, sk, sb = sink(x), sink(kernel), sink(bias)
+    kshape = kernel.data.shape
+    cached = ph if sk is not None else None
 
     def bwd(g):
         grows = grid.embed(g)
-        if kernel.requires_grad:
-            accumulate(kernel, _correlate_weight(cached, grows, grid).reshape(kernel.data.shape))
-        if bias.requires_grad:
-            accumulate(bias, g.reshape(-1, cout).sum(axis=0))
-        if x.requires_grad:
-            accumulate(x, grid.unphase(_correlate_input(grows, w, grid)))
+        if sk is not None:
+            accumulate(sk, _correlate_weight(cached, grows, grid).reshape(kshape))
+        if sb is not None:
+            accumulate(sb, g.reshape(-1, cout).sum(axis=0))
+        if sx is not None:
+            accumulate(sx, grid.unphase(_correlate_input(grows, w, grid)))
 
     return make_op(out_data, (x, kernel, bias), bwd)
 
@@ -308,15 +311,17 @@ def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     w = kernel.data.reshape(k ** 3, cin, cout)
     out_data = grid.unphase(_correlate_input(grid.embed(y.data), w, grid))
     out_data += bias.data
+    sy, sk, sb = sink(y), sink(kernel), sink(bias)
+    kshape = kernel.data.shape
+    cached = y.data if sk is not None else None
 
     def bwd(g):
         gph = grid.phases(g)
-        if y.requires_grad:
-            accumulate(y, grid.extract(_correlate(gph, w, grid)))
-        if kernel.requires_grad:
-            gw = _correlate_weight(gph, grid.embed(y.data), grid)
-            accumulate(kernel, gw.reshape(kernel.data.shape))
-        if bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 1, 2)))
+        if sy is not None:
+            accumulate(sy, grid.extract(_correlate(gph, w, grid)))
+        if sk is not None:
+            accumulate(sk, _correlate_weight(gph, grid.embed(cached), grid).reshape(kshape))
+        if sb is not None:
+            accumulate(sb, g.sum(axis=(0, 1, 2)))
 
     return make_op(out_data, (y, kernel, bias), bwd)

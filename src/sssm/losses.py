@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, accumulate, make_op
+from .autodiff import Tensor, accumulate, make_op, sink
 
 TO_LEFT = "to_left"
 TO_RIGHT = "to_right"
@@ -121,17 +121,22 @@ def warp(source: Tensor, disparity: Tensor, direction: str) -> Tensor:
     h, w, c = source.data.shape
     sign = 1.0 if direction == TO_RIGHT else -1.0
     out_data, x, x0, fr, g0, g1, rows = _bilinear_gather(source.data, disparity.data, sign)
+    s_source, s_disp = sink(source), sink(disparity)
+    # backward reads how the samples were taken, and for the disparity
+    # gradient the slope between them, but never the source itself
+    slope = g1 - g0 if s_disp is not None else None
+    inside = (x > 0.0) & (x < w - 1.0)
+    dtype, d_dtype = source.data.dtype, disparity.data.dtype
 
     def bwd(g):
-        if disparity.requires_grad:
-            inside = (x > 0.0) & (x < w - 1.0)
-            gd = (g * (g1 - g0)).sum(axis=2) * inside
-            accumulate(disparity, gd.astype(disparity.data.dtype) * disparity.data.dtype.type(sign))
-        if source.requires_grad:
-            gs = np.zeros_like(source.data)
+        if s_disp is not None:
+            gd = (g * slope).sum(axis=2) * inside
+            accumulate(s_disp, gd.astype(d_dtype) * d_dtype.type(sign))
+        if s_source is not None:
+            gs = np.zeros((h, w, c), dtype=dtype)
             np.add.at(gs, (rows, x0), g * (1.0 - fr))
             np.add.at(gs, (rows, x0 + 1), g * fr)
-            accumulate(source, gs)
+            accumulate(s_source, gs)
 
     return make_op(out_data, (source, disparity), bwd)
 

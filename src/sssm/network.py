@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, accumulate, make_op
+from .autodiff import Tape, Tensor, accumulate, make_op, sink
 from .convops import conv2d, conv3d, deconv3d
 
 LEFT_TO_RIGHT = "lr"
@@ -171,17 +171,20 @@ def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, 
         else:
             vol[:, : w - d, d, f:] = f_second.data[:, d:]
 
+    s1, s2 = sink(f_first), sink(f_second)
+    dtype = f_second.data.dtype
+
     def bwd(g):
-        if f_first.requires_grad:
-            accumulate(f_first, g[:, :, : d_max + 1, :f].sum(axis=2))
-        if f_second.requires_grad:
-            gs = np.zeros_like(f_second.data)
+        if s1 is not None:
+            accumulate(s1, g[:, :, : d_max + 1, :f].sum(axis=2))
+        if s2 is not None:
+            gs = np.zeros((h, w, f), dtype=dtype)
             for d in range(d_max + 1):
                 if direction == LEFT_TO_RIGHT:
                     gs[:, : w - d] += g[:, d:, d, f:]
                 else:
                     gs[:, d:] += g[:, : w - d, d, f:]
-            accumulate(f_second, gs)
+            accumulate(s2, gs)
 
     return make_op(vol, (f_first, f_second), bwd)
 
@@ -281,7 +284,8 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
             out[k, :, bs] += r2[dw, dd, :, p, js]
     result = np.empty((h // 2, w // 2, depth // 2, cout), dtype=out.dtype)
     np.add(out.transpose(1, 2, 0, 3), bias.data, out=result)
-    cached = taps if kernel.requires_grad else None
+    s_maps, sk, sb = (sink(f_first), sink(f_second)), sink(kernel), sink(bias)
+    cached = taps if sk is not None else None
 
     def bwd(g):
         g = np.ascontiguousarray(g.transpose(2, 0, 1, 3))
@@ -294,15 +298,15 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
             for dw, p, bs, js in cols:
                 gr2[dw, dd, :, p, js] += g[k, :, bs]
         grs = [gr.reshape(3, 3, -1, cout) for gr in (gr1, gr2)]
-        if kernel.requires_grad:
+        if sk is not None:
             gk = [np.matmul(t.T, gr).reshape(3, 3, 3, f, cout) for t, gr in zip(cached, grs)]
-            accumulate(kernel, np.concatenate(gk, axis=3).transpose(2, 0, 1, 3, 4))
-        if bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 1, 2)))
-        for t, gr, k in zip((f_first, f_second), grs, halves):
-            if t.requires_grad:
+            accumulate(sk, np.concatenate(gk, axis=3).transpose(2, 0, 1, 3, 4))
+        if sb is not None:
+            accumulate(sb, g.sum(axis=(0, 1, 2)))
+        for s, gr, k in zip(s_maps, grs, halves):
+            if s is not None:
                 gt = np.tensordot(gr, k, axes=([0, 1, 3], [0, 1, 3]))
-                accumulate(t, _row_taps_adjoint(gt, t.data.shape))
+                accumulate(s, _row_taps_adjoint(gt, (h, w, f)))
 
     return make_op(result, (f_first, f_second, kernel, bias), bwd)
 

@@ -17,6 +17,7 @@ bit for bit, on the same platform with the same thread settings.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -148,10 +149,27 @@ def save_optimizer(path, opt: OptimizerState) -> None:
 
 
 def load_optimizer(path, weights: NetworkWeights) -> OptimizerState:
+    """Load the state ``save_optimizer`` wrote, checked against ``weights``.
+
+    Raises ValueError naming the file and the first offending record: a
+    missing iteration counter, or an accumulator that is missing, extra or
+    shaped unlike its parameter.
+    """
     arrays = checkpoint.load_arrays(path)
+    if "__iteration__" not in arrays:
+        raise ValueError(f"{path}: optimizer state has no __iteration__ record")
     iteration = int(arrays.pop("__iteration__")[0])
-    if set(arrays) != set(weights.named()):
-        raise ValueError(f"{path}: optimizer state does not match the parameter set")
+    params = weights.named()
+    for name, t in params.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: optimizer state has no accumulator for {name}")
+        if arrays[name].shape != t.data.shape:
+            raise ValueError(f"{path}: optimizer state for {name} has shape "
+                             f"{arrays[name].shape}, expected {t.data.shape}")
+    extra = [name for name in arrays if name not in params]
+    if extra:
+        raise ValueError(f"{path}: optimizer state has an accumulator for {extra[0]}, "
+                         "which is not a parameter")
     return OptimizerState(acc=arrays, iteration=iteration)
 
 
@@ -210,14 +228,45 @@ def _format_row(row: dict) -> str:
     )
 
 
-class LossLog:
-    """Incremental CSV writer; repr-formatted floats round-trip exactly."""
+def _log_prefix(path: Path, iteration: int) -> int:
+    """Bytes of an existing loss log up to its first row at or past ``iteration``.
 
-    def __init__(self, path=None):
+    The rows from there on were written after the checkpoint a run resumes
+    from, as was a row cut short.  A header other than ``LOG_COLUMNS`` is
+    refused.
+    """
+    columns = ",".join(LOG_COLUMNS)
+    with open(path, "rb") as fh:
+        header = fh.readline().rstrip(b"\n")
+        if header != columns.encode():
+            raise ValueError(f"{path}: header {header.decode(errors='replace')!r} is not "
+                             f"{columns!r}; refusing to append to it")
+        end = fh.tell()
+        for line in iter(fh.readline, b""):
+            if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) >= iteration:
+                break
+            end = fh.tell()
+    return end
+
+
+class LossLog:
+    """Incremental CSV writer; repr-formatted floats round-trip exactly.
+
+    With ``resume_at`` k > 0 an existing file is continued: its rows below
+    iteration k are kept, later ones are dropped, and new rows append.
+    ``rows`` holds only the rows this writer appended.
+    """
+
+    def __init__(self, path=None, resume_at: int = 0):
         self.rows: list[dict] = []
         self._fh = None
         if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            path = Path(path)
+            if resume_at and path.is_file():
+                os.truncate(path, _log_prefix(path, resume_at))
+                self._fh = open(path, "a")
+                return
+            path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(path, "w")
             self._fh.write(",".join(LOG_COLUMNS) + "\n")
             self._fh.flush()
@@ -254,9 +303,10 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
                        checkpoint_path=None) -> tuple[OptimizerState, LossLog]:
     """Optimise from the current weights until cfg.max_iterations.
 
-    Starts at opt.iteration (pass a loaded optimizer to resume); writes the
-    loss log incrementally and checkpoints every cfg.checkpoint_every
-    iterations plus at the end when paths are given.
+    Starts at opt.iteration (pass a loaded optimizer to resume, which keeps
+    the loss log's earlier rows); writes the loss log incrementally and
+    checkpoints every cfg.checkpoint_every iterations plus at the end when
+    paths are given.
     """
     if not pairs:
         raise ValueError("train_from_scratch: empty dataset")
@@ -269,7 +319,7 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
     lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
     margin = default_margin(weights.config) if margin is None else margin
-    logger = LossLog(log_path)
+    logger = LossLog(log_path, resume_at=opt.iteration)
     try:
         while opt.iteration < cfg.max_iterations:
             i = opt.iteration

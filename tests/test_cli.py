@@ -145,6 +145,34 @@ class TestTrainFlow:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.sssmw"]
 
 
+    def test_resumed_run_equals_uninterrupted_run(self, micro_env, tmp_path):
+        def train(out, iterations):
+            result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                             "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                             "--iterations", str(iterations), "--seed", "3", "--single-thread")
+            assert result.returncode == 0, result.stderr
+
+        train(tmp_path / "full", 5)
+        train(tmp_path / "resumed", 3)
+        train(tmp_path / "resumed", 5)
+        for name in ("loss_log.csv", "weights.sssmw", "weights.sssmw.opt"):
+            full, resumed = (tmp_path / run / name for run in ("full", "resumed"))
+            assert resumed.read_bytes() == full.read_bytes(), name
+        assert len((tmp_path / "full" / "loss_log.csv").read_text().splitlines()) == 6
+
+    def test_optimizer_state_without_counter_exits_1_naming_it(self, micro_env, tmp_path):
+        ckpt = tmp_path / "weights.sssmw"
+        ckpt.write_bytes((micro_env / "run" / "weights.sssmw").read_bytes())
+        (tmp_path / "weights.sssmw.opt").write_bytes(ckpt.read_bytes())
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(tmp_path / "out"), "--config", str(micro_env / "micro.cfg"),
+                         "--checkpoint", str(ckpt), "--iterations", "4", "--seed", "0")
+        assert result.returncode == 1
+        assert "weights.sssmw.opt" in result.stderr and "__iteration__" in result.stderr
+        assert ckpt.read_bytes() == (micro_env / "run" / "weights.sssmw").read_bytes()
+        assert not (tmp_path / "out" / "loss_log.csv").exists()
+
+
 class TestInferEvalFlow:
     def test_infer_writes_predictions(self, micro_env):
         result = run_cli("infer", "--manifest", str(micro_env / "data" / "manifest.txt"),

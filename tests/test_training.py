@@ -166,6 +166,31 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match="optimizer state"):
             load_optimizer(path, other)
 
+    def test_optimizer_without_iteration_names_the_file(self, tmp_path):
+        weights = init_weights(MICRO, seed=0)
+        path = tmp_path / "w.opt"
+        save_weights(path, weights)  # parameter arrays only, no counter
+        with pytest.raises(ValueError, match=r"w\.opt: .*__iteration__"):
+            load_optimizer(path, weights)
+
+    def test_optimizer_with_other_shapes_names_the_parameter(self, tmp_path):
+        # same layer names, another feature_dim: every accumulator is misshapen
+        weights = init_weights(MICRO, seed=0)
+        path = tmp_path / "w.opt"
+        save_optimizer(path, OptimizerState.fresh(weights))
+        wider = init_weights(dataclasses.replace(MICRO, feature_dim=8), seed=0)
+        assert list(wider.named()) == list(weights.named())
+        with pytest.raises(ValueError, match=r"w\.opt: .*feat/l01/w .*\(3, 3, 3, 4\).*\(3, 3, 3, 8\)"):
+            load_optimizer(path, wider)
+
+    def test_optimizer_with_an_extra_accumulator_names_it(self, tmp_path):
+        weights = init_weights(MICRO, seed=0)
+        opt = OptimizerState.fresh(weights)
+        opt.acc["feat/l99/w"] = np.zeros(3, np.float32)
+        save_optimizer(tmp_path / "w.opt", opt)
+        with pytest.raises(ValueError, match=r"w\.opt: .*feat/l99/w"):
+            load_optimizer(tmp_path / "w.opt", weights)
+
 
 class TestTrainStep:
     def test_advances_iteration_and_returns_predictions(self):
@@ -461,6 +486,45 @@ class TestLossLog:
         log.append({c: 0.0 for c in LOG_COLUMNS})
         log.close()
         assert len(log.rows) == 1
+
+    @staticmethod
+    def _row(iteration):
+        return ",".join([str(iteration)] + ["0.5"] * (len(LOG_COLUMNS) - 1)) + "\n"
+
+    def test_resume_keeps_rows_below_the_iteration(self, tmp_path):
+        # rows 3 and 4 were written after the checkpoint at 3, and the last
+        # row was cut short
+        path = tmp_path / "loss.csv"
+        header = ",".join(LOG_COLUMNS) + "\n"
+        path.write_text(header + "".join(self._row(i) for i in range(5)) + "5,0.")
+        log = LossLog(path, resume_at=3)
+        log.append({c: (3 if c == "iteration" else 0.25) for c in LOG_COLUMNS})
+        log.close()
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[:4] == [header] + [self._row(i) for i in range(3)]
+        assert lines[4].startswith("3,0.25,") and len(lines) == 5
+        assert len(log.rows) == 1
+
+    def test_resume_drops_a_cut_short_row(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        header = ",".join(LOG_COLUMNS) + "\n"
+        path.write_text(header + self._row(0) + "1,0.")
+        LossLog(path, resume_at=2).close()
+        assert path.read_text() == header + self._row(0)
+
+    def test_resume_refuses_another_header_before_writing(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        text = "iteration,lr,total\n" + self._row(0)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="loss.csv: header"):
+            LossLog(path, resume_at=1)
+        assert path.read_text() == text
+
+    def test_fresh_run_truncates(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("stale\n")
+        LossLog(path).close()
+        assert path.read_text() == ",".join(LOG_COLUMNS) + "\n"
 
 
 class TestDefaultMargin:
