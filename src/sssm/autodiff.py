@@ -34,7 +34,8 @@ def set_check_finite(enabled: bool) -> None:
     """Globally toggle per-op output finiteness checks (off by default).
 
     Checking costs a full pass over every op output, so training leaves it
-    off and verifies the loss instead; tests and debugging turn it on.
+    off and verifies the loss instead; tests and debugging turn it on.  The
+    error names the op that made the output, and the output's shape.
     """
     global _check_finite
     _check_finite = bool(enabled)
@@ -189,7 +190,8 @@ def make_op(data: np.ndarray, parents: tuple, bwd) -> Tensor:
     parent requires grad, the result is a detached leaf.
     """
     if _check_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values in op output")
+        op = bwd.__qualname__.split(".<locals>")[0]
+        raise FloatingPointError(f"non-finite values in {op} output of shape {data.shape}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out._node = None

@@ -9,11 +9,14 @@ registration order.  A record is
     u32  extent per axis
     ...  float32 payload      (little-endian, row-major)
 
-Every parameter appears exactly once; round trips are bit-exact.
+Every parameter appears exactly once; round trips are bit-exact.  A save
+writes a temporary file beside ``path`` and renames it into place, so a
+crash mid-write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -22,17 +25,26 @@ MAGIC = b"SSSMW1\n"
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named float32 arrays in dict order."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        for name, arr in arrays.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
+    """Write named float32 arrays in dict order, replacing ``path`` atomically."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(MAGIC)
+            for name, arr in arrays.items():
+                data = np.ascontiguousarray(arr, dtype="<f4")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<I", data.ndim))
+                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                f.write(data.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:

@@ -4,15 +4,19 @@ All three are built from one shift-and-GEMM correlation.  The input is
 zero-padded once and split into stride^S phases (a single phase at stride
 1), each flattened to (rows, C).  Within a flattened phase every kernel
 offset is a fixed row shift, so each tap is one GEMM on a contiguous row
-range of a view.  Results are computed on the whole phase grid; rows that
-fall off the true output are dropped in forward and held at zero in
-backward.  The loops never run over pixels: the outer loop walks blocks of
-consecutive grid rows (``_BLOCK_ROWS``), and the kernel offsets (9 or 27)
-are looped inside each block.  At 16 channels a tap GEMM does little
-arithmetic per byte, so it is bound by memory traffic; looping taps over
-the whole grid would stream a full-size temporary and output through
-memory once per tap, while a block's output rows and GEMM scratch stay in
-L2 across all of its taps.
+range of a view.  Results are computed on ``span`` consecutive grid rows;
+rows between outputs are padding, dropped in forward and held at zero in
+backward.  The grid keeps them few (``_Grid``): it flattens the shortest
+axis outermost, and consecutive lines of an inner axis share their zero
+slots, so a same-padded stride-1 (32, 64, 10) volume computes 21384 rows
+for its 20480 outputs.  The loops never run over pixels: the outer loop
+walks blocks of consecutive grid rows (``_BLOCK_ROWS``), and the kernel
+offsets (9 or 27) are looped inside each block.  At 16 channels a tap
+GEMM does little arithmetic per byte, so it is bound by memory traffic;
+looping taps over the whole grid would stream a full-size temporary and
+output through memory once per tap, while a block's output rows and GEMM
+scratch stay in L2 across all of its taps.  Output layouts stay (H, W, C)
+and (H, W, D, C): the phase and output copies transpose as they copy.
 
 Three helpers serve every direction: ``_correlate`` (forward),
 ``_correlate_weight`` (weight gradient, a sum of ``view.T @ g`` GEMMs) and
@@ -23,7 +27,7 @@ construction.  Backward keeps only the padded input phases, about 1x the
 input (``deconv3d`` keeps its input), and only when the kernel needs a
 gradient.  Where the phase side has few channels the per-tap GEMMs
 degenerate, so the helpers stack the shifted row ranges into one small
-transient column matrix instead (``_per_tap``), built over the whole grid
+transient column matrix instead (``_per_tap``), built over the whole span
 rather than in blocks.
 
 Data layouts: images are (H, W, C), volumes are (H, W, D, C).  2D kernels
@@ -36,6 +40,7 @@ single weight tensor describes both directions.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -68,9 +73,15 @@ class _Grid:
     """Where each kernel tap reads in the flattened phases of a padded input.
 
     Phase r holds padded positions m * stride + r, so tap a reads phase
-    a % stride at grid offset a // stride: one row shift per tap.  Output n
-    sits at grid row ravel(n); ``span`` rows cover every output, and every
-    tap's shifted range of ``span`` rows stays inside the phase.
+    a % stride at slot a // stride.  A phase flattens its slots with the
+    smallest extent outermost (``pitch`` is each axis's row step), so the
+    padding rides on the fewest, longest lines.  An inner axis's line is
+    ``count + max(leading, trailing)`` slots, the most any phase needs:
+    the zeros trailing one line are the ones leading the next, so a
+    same-padded stride-1 axis carries one zero slot per line, not two.
+    Every tap is then one row shift.  Output n sits at row sum(n * pitch);
+    ``span`` rows cover every output, and ``rows`` every padded slot, so
+    each tap's ``span`` rows from its shift stay inside the phase.
     """
 
     def __init__(self, spatial, k: int, stride: int, padding: str):
@@ -79,54 +90,59 @@ class _Grid:
         self.stride = stride
         geo = _conv_geometry(spatial, k, stride, padding)
         self.out = tuple(g[0] for g in geo)
-        self.pads = tuple(g[1] for g in geo)
-        self.grid = tuple(-(-(n + pb + pa) // stride) for n, (_, pb, pa) in zip(spatial, geo))
-        self.rows = int(np.prod(self.grid))
-        self.span = int(np.ravel_multi_index([o - 1 for o in self.out], self.grid)) + 1
+        slots = [-(-(n + pb + pa) // stride) for n, (_, pb, pa) in zip(spatial, geo)]
+        axes = []  # per axis, per phase: (first slot, sample count, input slice)
+        for n, (_, pb, _) in zip(spatial, geo):
+            firsts = [-(-(pb - r) // stride) for r in range(stride)]
+            srcs = [slice(f * stride + r - pb, n, stride) for r, f in enumerate(firsts)]
+            axes.append([(f, len(range(n)[src]), src) for f, src in zip(firsts, srcs)])
+        pitch, step = [0] * nd, 1
+        # Innermost first: the longest axis, and among equals the last.
+        for a in reversed(sorted(range(nd), key=lambda a: spatial[a])):
+            pitch[a] = step
+            step *= max(cnt + max(f, slots[a] - f - cnt) for f, cnt, _ in axes[a])
+        self.pitch = tuple(pitch)
+        # Per phase, in tap order: (first slots, sample counts, input slices).
+        self.parts = [tuple(zip(*part)) for part in itertools.product(*axes)]
+        self.span = 1 + sum((o - 1) * p for o, p in zip(self.out, self.pitch))
+        self.rows = 1 + sum((m - 1) * p for m, p in zip(slots, self.pitch))
         self.taps = tuple(
             (int(np.ravel_multi_index([i % stride for i in a], (stride,) * nd)),
-             int(np.ravel_multi_index([i // stride for i in a], self.grid)))
+             sum(i // stride * p for i, p in zip(a, self.pitch)))
             for a in np.ndindex(*(k,) * nd)
         )
 
-    def _phase_slices(self, r):
-        """(source, destination) slices moving input samples into phase r."""
-        src, dst = [], []
-        for n, pb, ri in zip(self.spatial, self.pads, r):
-            first = -(-(pb - ri) // self.stride)
-            start = first * self.stride + ri - pb
-            src.append(slice(start, n, self.stride))
-            dst.append(slice(first, first + len(range(start, n, self.stride))))
-        return tuple(src), tuple(dst)
+    def _view(self, rows: np.ndarray, shape, first=()) -> np.ndarray:
+        """The (*shape, C) view of contiguous (rows, C) grid rows from slot
+        ``first`` (the origin by default); numpy checks it stays inside."""
+        step, chan = rows.strides
+        start = sum(f * p for f, p in zip(first, self.pitch)) * step
+        return np.ndarray(tuple(shape) + rows.shape[-1:], rows.dtype, rows, start,
+                          tuple(p * step for p in self.pitch) + (chan,))
 
     def phases(self, x: np.ndarray) -> np.ndarray:
         """Zero-padded ``x`` split into phases, (stride^S, rows, C), in one copy."""
-        nd = len(self.spatial)
-        ph = np.zeros((self.stride ** nd,) + self.grid + x.shape[-1:], dtype=x.dtype)
-        for p, r in enumerate(np.ndindex(*(self.stride,) * nd)):
-            src, dst = self._phase_slices(r)
-            ph[(p,) + dst] = x[src]
-        return ph.reshape(self.stride ** nd, self.rows, x.shape[-1])
+        ph = np.zeros((self.stride ** len(self.spatial), self.rows, x.shape[-1]), dtype=x.dtype)
+        for p, (first, cnt, src) in enumerate(self.parts):
+            self._view(ph[p], cnt, first)[...] = x[src]
+        return ph
 
     def unphase(self, ph: np.ndarray) -> np.ndarray:
         """Adjoint of ``phases``: the input-shaped part of phase arrays."""
-        nd = len(self.spatial)
-        ph = ph.reshape((-1,) + self.grid + ph.shape[-1:])
         x = np.empty(self.spatial + ph.shape[-1:], dtype=ph.dtype)
-        for p, r in enumerate(np.ndindex(*(self.stride,) * nd)):
-            src, dst = self._phase_slices(r)
-            x[src] = ph[(p,) + dst]
+        for p, (first, cnt, src) in enumerate(self.parts):
+            x[src] = self._view(ph[p], cnt, first)
         return x
 
     def embed(self, y: np.ndarray) -> np.ndarray:
-        """Output-shaped ``y`` as (rows, C) grid rows, zero off the output."""
-        rows = np.zeros(self.grid + y.shape[-1:], dtype=y.dtype)
-        rows[tuple(slice(o) for o in self.out)] = y
-        return rows.reshape(self.rows, -1)
+        """Output-shaped ``y`` as (span, C) grid rows, zero off the output."""
+        rows = np.zeros((self.span,) + y.shape[-1:], dtype=y.dtype)
+        self._view(rows, self.out)[...] = y
+        return rows
 
     def extract(self, rows: np.ndarray) -> np.ndarray:
-        """The output-shaped view of (rows, C) grid rows."""
-        return rows.reshape(self.grid + rows.shape[-1:])[tuple(slice(o) for o in self.out)]
+        """The output-shaped part of (span, C) grid rows, as a new array."""
+        return self._view(rows, self.out).copy()
 
 
 @functools.lru_cache(maxsize=64)
@@ -157,7 +173,10 @@ def _per_tap(c: int, other: int) -> bool:
 
 # Output grid rows per block of the per-tap loops.  At 16 channels of
 # float32 a block is 128 KiB, so the output block and the GEMM scratch stay
-# in L2 across all taps; 1024 and 4096 rows measured slower.
+# in L2 across all taps.  A block's taps read the input rows of its own range
+# shifted by up to two lines of each axis; with the shortest axis outermost
+# that is three slabs a plane apart.  1024 and 4096 rows measured slower,
+# 3072 about the same.
 _BLOCK_ROWS = 2048
 
 
@@ -167,18 +186,20 @@ def _blocks(n: int):
 
 
 def _correlate(ph: np.ndarray, w: np.ndarray, grid: _Grid) -> np.ndarray:
-    """Forward: (rows, Cout) grid rows of sum_taps phase_view @ w[tap].
+    """Forward: (span, Cout) grid rows of sum_taps phase_view @ w[tap].
 
-    ``w`` is (taps, C, Cout).  Rows at and beyond ``span`` stay zero.
+    ``w`` is (taps, C, Cout).  In each block the first tap writes the output
+    rows and the others add to them.
     """
     n, cout = grid.span, w.shape[2]
-    out = np.zeros((grid.rows, cout), dtype=ph.dtype)
     if not _per_tap(w.shape[1], cout):
-        np.matmul(_columns(ph, grid).T, w.reshape(-1, cout), out=out[:n])
-        return out
+        return _columns(ph, grid).T @ w.reshape(-1, cout)
+    out = np.empty((n, cout), dtype=ph.dtype)
     tmp = np.empty((min(n, _BLOCK_ROWS), cout), dtype=ph.dtype)
+    (p0, shift0), *rest = grid.taps
     for s, e in _blocks(n):
-        for j, (p, shift) in enumerate(grid.taps):
+        np.matmul(ph[p0, s + shift0:e + shift0], w[0], out=out[s:e])
+        for j, (p, shift) in enumerate(rest, 1):
             out[s:e] += np.matmul(ph[p, s + shift:e + shift], w[j], out=tmp[:e - s])
     return out
 
@@ -186,11 +207,12 @@ def _correlate(ph: np.ndarray, w: np.ndarray, grid: _Grid) -> np.ndarray:
 def _correlate_weight(ph: np.ndarray, g: np.ndarray, grid: _Grid) -> np.ndarray:
     """Weight gradient, (taps, C, Cout): per tap, phase_view.T @ g.
 
-    ``g`` is the output gradient as grid rows, zero off the output.
+    ``g`` is the output gradient as (span, Cout) grid rows, zero off the
+    output.
     """
     n = grid.span
     if not _per_tap(ph.shape[-1], g.shape[-1]):
-        return (_columns(ph, grid) @ g[:n]).reshape(len(grid.taps), ph.shape[-1], -1)
+        return (_columns(ph, grid) @ g).reshape(len(grid.taps), ph.shape[-1], -1)
     gw = np.zeros((len(grid.taps), ph.shape[-1], g.shape[-1]), dtype=g.dtype)
     for s, e in _blocks(n):
         for j, (p, shift) in enumerate(grid.taps):
@@ -201,13 +223,13 @@ def _correlate_weight(ph: np.ndarray, g: np.ndarray, grid: _Grid) -> np.ndarray:
 def _correlate_input(g: np.ndarray, w: np.ndarray, grid: _Grid) -> np.ndarray:
     """Input gradient as phases: g @ w[tap].T added into each tap's row range.
 
-    ``g`` is the output gradient as grid rows, zero off the output; ``w``
-    is (taps, C, Cout).  Returns (stride^S, rows, C).
+    ``g`` is the output gradient as (span, Cout) grid rows, zero off the
+    output; ``w`` is (taps, C, Cout).  Returns (stride^S, rows, C).
     """
     n, c = grid.span, w.shape[1]
     gph = np.zeros((grid.stride ** len(grid.spatial), grid.rows, c), dtype=g.dtype)
     if not _per_tap(c, w.shape[2]):
-        gcols = w.reshape(-1, w.shape[2]) @ g[:n].T
+        gcols = w.reshape(-1, w.shape[2]) @ g.T
         for j, (p, shift) in enumerate(grid.taps):
             gph[p, shift:shift + n] += gcols[j * c:(j + 1) * c].T
         return gph
@@ -233,7 +255,8 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str,
     grid = _grid(x.data.shape[:-1], k, stride, padding)
     w = kernel.data.reshape(k ** nd, cin, cout)
     ph = grid.phases(x.data)
-    out_data = grid.extract(_correlate(ph, w, grid)) + bias.data
+    out_data = grid.extract(_correlate(ph, w, grid))
+    out_data += bias.data
     sx, sk, sb = sink(x), sink(kernel), sink(bias)
     kshape = kernel.data.shape
     cached = ph if sk is not None else None

@@ -198,6 +198,16 @@ def _conv_checks(seed):
             lambda fa=fa, fb=fb, k=k, b=b, d=direction: _project(volume_conv(fa, fb, k, b, 3, d, 6)),
             [fa, fb, k, b],
         ))
+    # The network's layout: the disparity axis, last, is the shortest.
+    x, k, b = _t(rng, 5, 6, 3, 2), _t(rng, 3, 3, 3, 2, 2), _t(rng, 2)
+    checks.append(("conv3d_s1_d_shortest", lambda x=x, k=k, b=b: _project(conv3d(x, k, b)), [x, k, b]))
+    x, k, b = _t(rng, 6, 8, 4, 2), _t(rng, 3, 3, 3, 2, 2), _t(rng, 2)
+    checks.append(("conv3d_s2_d_shortest",
+                   lambda x=x, k=k, b=b: _project(conv3d(x, k, b, stride=2)), [x, k, b]))
+    y, k, b = _t(rng, 3, 4, 2, 2), _t(rng, 3, 3, 3, 3, 2), _t(rng, 3)
+    checks.append(("deconv3d_d_shortest", lambda y=y, k=k, b=b: _project(deconv3d(y, k, b)), [y, k, b]))
+    x, k, b = _t(rng, 7, 4, 2), _t(rng, 3, 3, 2, 3), _t(rng, 3)
+    checks.append(("conv2d_s1_tall", lambda x=x, k=k, b=b: _project(conv2d(x, k, b)), [x, k, b]))
     return checks
 
 

@@ -1,5 +1,6 @@
 """Convolution kernels against brute-force and adjoint oracles."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,18 @@ def brute_conv3d(x, w, b, stride=1):
                            l * stride:l * stride + k]
                 out[i, j, l] = np.einsum("abcd,abcde->e", patch, w) + b
     return out
+
+
+def brute_deconv3d(y, w, b):
+    """Nested-loop adjoint of stride-2 ``brute_conv3d``: each input sample
+    scatters its kernel-weighted patch into the padded output."""
+    k = w.shape[0]
+    pb = (k - 1) // 2
+    dims = [2 * n for n in y.shape[:3]]
+    xp = np.zeros(tuple(n + k for n in dims) + (w.shape[3],))
+    for i, j, l in np.ndindex(*y.shape[:3]):
+        xp[2 * i:2 * i + k, 2 * j:2 * j + k, 2 * l:2 * l + k] += np.einsum("e,abcde->abcd", y[i, j, l], w)
+    return xp[pb:pb + dims[0], pb:pb + dims[1], pb:pb + dims[2]] + b
 
 
 def _check_backward_is_adjoint(op, x, w, bias_len=None, **kw):
@@ -279,6 +292,78 @@ class TestRowBlocks:
         rhs = float((x * deconv3d(t64(y), t64(w), t64(np.zeros(3))).data).sum())
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
         _check_backward_is_adjoint(deconv3d, y, w, bias_len=3)
+
+
+# Every order of three distinct extents, and ties: the grid flattens the
+# shortest axis outermost, so each order lays the phases out differently.
+AXIS_ORDERS = [pytest.param(shape, id="x".join(map(str, shape)))
+               for shape in [*itertools.permutations((2, 4, 6)), (4, 4, 4), (6, 2, 6), (2, 6, 6)]]
+
+
+class TestAxisOrders:
+    """The conv3d and deconv3d oracles over every axis order, with the
+    per-tap and column paths, under the default and 7-row blocks."""
+
+    @pytest.fixture(autouse=True, params=[None, 7], ids=["blocks-default", "blocks-7"])
+    def blocks(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(convops, "_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize("cin,cout", [(3, 2), (1, 4)], ids=["per-tap", "columns"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", AXIS_ORDERS)
+    def test_conv3d(self, shape, stride, cin, cout):
+        rng = np.random.default_rng(sum(shape) + stride)
+        x = rng.standard_normal(shape + (cin,))
+        w = rng.standard_normal((3, 3, 3, cin, cout))
+        b = rng.standard_normal(cout)
+        out = conv3d(t64(x), t64(w), t64(b), stride=stride)
+        np.testing.assert_allclose(out.data, brute_conv3d(x, w, b, stride), atol=1e-12)
+        _check_backward_is_adjoint(conv3d, x, w, stride=stride)
+
+    @pytest.mark.parametrize("cin,cout", [(3, 2), (1, 4)], ids=["per-tap", "columns"])
+    @pytest.mark.parametrize("shape", AXIS_ORDERS)
+    def test_deconv3d(self, shape, cin, cout):
+        rng = np.random.default_rng(sum(shape))
+        y = rng.standard_normal(tuple(n // 2 for n in shape) + (cout,))
+        w = rng.standard_normal((3, 3, 3, cin, cout))
+        b = rng.standard_normal(cin)
+        out = deconv3d(t64(y), t64(w), t64(b))
+        np.testing.assert_allclose(out.data, brute_deconv3d(y, w, b), atol=1e-12)
+        _check_backward_is_adjoint(deconv3d, y, w, bias_len=cin)
+
+
+class TestGrid:
+    """The flattened phase layout itself."""
+
+    @pytest.mark.parametrize("spatial,stride,padding,span", [
+        pytest.param((32, 64, 10), 1, "same", 21384, id="scale1-s1"),
+        pytest.param((16, 32, 5), 1, "same", 2771, id="scale2-s1"),
+        pytest.param((32, 64, 10), 2, "same", 2771, id="scale1-s2"),
+        pytest.param((64, 128, 20), 2, "same", 21384, id="volume-s2"),
+        pytest.param((64, 128), 1, "same", 8255, id="image-s1"),
+        pytest.param((9, 7), 3, "same", 9, id="2d-s3"),
+        pytest.param((7, 9), 2, "valid", 14, id="2d-s2-valid"),
+        pytest.param((5, 3, 4), 1, "valid", 8, id="3d-s1-valid"),
+        pytest.param((6, 2, 4), 2, "same", 7, id="3d-s2-short-middle"),
+    ])
+    def test_invariants(self, spatial, stride, padding, span):
+        grid = convops._Grid(spatial, 3, stride, padding)
+        assert grid.span == span
+        for _, shift in grid.taps:
+            assert 0 <= shift and shift + grid.span <= grid.rows
+        ph = grid.phases(np.ones(spatial + (2,)))
+        assert ph.shape == (stride ** len(spatial), grid.rows, 2)
+        np.testing.assert_array_equal((ph == 1).sum(axis=(0, 1)), np.prod(spatial))
+        np.testing.assert_array_equal((ph == 0).sum(axis=(0, 1)), ph[..., 0].size - np.prod(spatial))
+        rng = np.random.default_rng(len(spatial))
+        x = rng.standard_normal(spatial + (3,))
+        np.testing.assert_array_equal(grid.unphase(grid.phases(x)), x)
+        y = rng.standard_normal(grid.out + (3,))
+        rows = grid.embed(y)
+        assert rows.shape == (grid.span, 3)
+        np.testing.assert_array_equal(grid.extract(rows), y)
+        assert np.count_nonzero(rows) == y.size
 
 
 class TestConvGradients:

@@ -257,6 +257,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="byte"):
             checkpoint.load_arrays(path)
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "w.bin"
+        checkpoint.save_arrays(path, {"x": np.ones((2, 2), dtype=np.float32)})
+        old = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("write failed")
+
+        # The first record is written before the second one fails.
+        with pytest.raises(RuntimeError, match="write failed"):
+            checkpoint.save_arrays(path, {"y": np.zeros(64, dtype=np.float32), "z": Unwritable()})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["w.bin"]
+
     def test_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "w.bin"
         checkpoint.save_arrays(path, {"x": np.ones(2, dtype=np.float32)})
