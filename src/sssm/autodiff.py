@@ -9,11 +9,17 @@ finite-difference oracles can run at full accuracy.
 
 The rule for writing an op: take each parent's ``sink`` (its node, or None
 when no gradient flows to it) and let the backward closure capture those
-sinks plus only the arrays it reads, never a parent Tensor.  An array then
-dies as soon as the caller drops its last Tensor, unless backward reads
-it: ``relu`` keeps a boolean mask of its output, ``exp`` its output, and
-``add``, ``reshape`` and ``crop`` keep nothing.  ``make_op`` wraps the
-result and links the parents' nodes.
+sinks plus only the arrays it reads, never a parent Tensor.  What it
+captures is an array that already exists (a parent's or its own output)
+or a bit mask, never a padded or restacked copy: backward rebuilds such
+layouts from the array it holds.  An array then dies as soon as the
+caller drops its last Tensor, unless backward reads it: ``relu`` keeps
+its output's sign as one bit per element, ``exp`` its output, a conv its
+input, and ``add``, ``reshape`` and ``crop`` keep nothing.  Because
+closures share the arrays they hold, a wrapped array is never mutated in
+place while a graph reads it: the optimiser updates parameters only after
+backward, and gradcheck probes coordinates only under ``no_grad``.
+``make_op`` wraps the result and links the parents' nodes.
 
 Elementwise binary ops require exactly equal shapes: there is no implicit
 broadcasting, shape changes go through explicit ops (``repeat``, ``reshape``,
@@ -382,13 +388,14 @@ def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at 0 is 0.
 
     Backward keeps only where the output is positive, which is where the
-    input is.
+    input is, packed one bit per element.
     """
     out_data = np.maximum(a.data, 0)
     sa = sink(a)
-    mask = out_data > 0 if sa is not None else None
+    bits = np.packbits(out_data > 0, axis=None) if sa is not None else None
 
     def bwd(g):
+        mask = np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape)
         accumulate(sa, g * mask)
 
     return make_op(out_data, (a,), bwd)

@@ -23,12 +23,12 @@ Three helpers serve every direction: ``_correlate`` (forward),
 ``_correlate_input`` (input gradient, ``g @ W_tap.T`` GEMMs added into
 shifted row ranges).  ``deconv3d``'s forward is ``_correlate_input`` and its
 backward is the other two, so it is the adjoint of stride-2 ``conv3d`` by
-construction.  Backward keeps only the padded input phases, about 1x the
-input (``deconv3d`` keeps its input), and only when the kernel needs a
-gradient.  Where the phase side has few channels the per-tap GEMMs
-degenerate, so the helpers stack the shifted row ranges into one small
-transient column matrix instead (``_per_tap``), built over the whole span
-rather than in blocks.
+construction.  Backward keeps only the input array itself (``deconv3d``
+too), and only when the kernel needs a gradient; it rebuilds the padded
+phases from it, so the forward's phases are a transient.  Where the phase
+side has few channels the per-tap GEMMs degenerate, so the helpers stack
+the shifted row ranges into one small transient column matrix instead
+(``_per_tap``), built over the whole span rather than in blocks.
 
 Data layouts: images are (H, W, C), volumes are (H, W, D, C).  2D kernels
 are (k, k, Cin, Cout) indexed (dy, dx, cin, cout); 3D kernels are
@@ -254,17 +254,16 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str,
         raise ValueError(f"conv: dtype mismatch {x.data.dtype} vs {kernel.data.dtype}")
     grid = _grid(x.data.shape[:-1], k, stride, padding)
     w = kernel.data.reshape(k ** nd, cin, cout)
-    ph = grid.phases(x.data)
-    out_data = grid.extract(_correlate(ph, w, grid))
+    out_data = grid.extract(_correlate(grid.phases(x.data), w, grid))
     out_data += bias.data
     sx, sk, sb = sink(x), sink(kernel), sink(bias)
     kshape = kernel.data.shape
-    cached = ph if sk is not None else None
+    cached = x.data if sk is not None else None
 
     def bwd(g):
         grows = grid.embed(g)
         if sk is not None:
-            accumulate(sk, _correlate_weight(cached, grows, grid).reshape(kshape))
+            accumulate(sk, _correlate_weight(grid.phases(cached), grows, grid).reshape(kshape))
         if sb is not None:
             accumulate(sb, g.reshape(-1, cout).sum(axis=0))
         if sx is not None:

@@ -246,8 +246,8 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
     summed over the column taps once and added to every output slice whose
     depth taps reach a d <= D.  The second-view half is f_second shifted by
     d, so for each d <= D and each column tap its R is added with one slice.
-    Backward runs the same slices adjointly and keeps only the row taps,
-    about 1.5x each feature map.
+    Backward runs the same slices adjointly.  It keeps only the two feature
+    maps, the arrays the lr and rl calls share, and rebuilds their row taps.
     """
     d_max, depth = _volume_geometry(f_first, f_second, max_disparity, direction, depth, "volume_conv")
     h, w, f = f_first.data.shape
@@ -285,7 +285,7 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
     result = np.empty((h // 2, w // 2, depth // 2, cout), dtype=out.dtype)
     np.add(out.transpose(1, 2, 0, 3), bias.data, out=result)
     s_maps, sk, sb = (sink(f_first), sink(f_second)), sink(kernel), sink(bias)
-    cached = taps if sk is not None else None
+    cached = (f_first.data, f_second.data) if sk is not None else None
 
     def bwd(g):
         g = np.ascontiguousarray(g.transpose(2, 0, 1, 3))
@@ -299,7 +299,8 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
                 gr2[dw, dd, :, p, js] += g[k, :, bs]
         grs = [gr.reshape(3, 3, -1, cout) for gr in (gr1, gr2)]
         if sk is not None:
-            gk = [np.matmul(t.T, gr).reshape(3, 3, 3, f, cout) for t, gr in zip(cached, grs)]
+            gk = [np.matmul(_row_taps(m).T, gr).reshape(3, 3, 3, f, cout)
+                  for m, gr in zip(cached, grs)]
             accumulate(sk, np.concatenate(gk, axis=3).transpose(2, 0, 1, 3, 4))
         if sb is not None:
             accumulate(sb, g.sum(axis=(0, 1, 2)))
