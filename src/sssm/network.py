@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, accumulate, make_op, sink
-from .convops import conv2d, conv3d, deconv3d
+from .convops import channel_sum, conv2d, conv3d, deconv3d
 
 LEFT_TO_RIGHT = "lr"
 RIGHT_TO_LEFT = "rl"
@@ -303,7 +303,7 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
                   for m, gr in zip(cached, grs)]
             accumulate(sk, np.concatenate(gk, axis=3).transpose(2, 0, 1, 3, 4))
         if sb is not None:
-            accumulate(sb, g.sum(axis=(0, 1, 2)))
+            accumulate(sb, channel_sum(g))
         for s, gr, k in zip(s_maps, grs, halves):
             if s is not None:
                 gt = np.tensordot(gr, k, axes=([0, 1, 3], [0, 1, 3]))
