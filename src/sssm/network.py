@@ -234,6 +234,14 @@ def _column_taps(w: int, shift: int) -> list[tuple[int, int, slice, slice]]:
     return taps
 
 
+def _halves(kernel: np.ndarray) -> list[np.ndarray]:
+    """Each half of a volume kernel, first view then second, as (dw, dd)
+    matrices over (dh, c): two (3, 3, 3F, Cout) arrays."""
+    f = kernel.shape[3] // 2
+    return [kernel[:, :, :, s].transpose(1, 2, 0, 3, 4).reshape(3, 3, 3 * f, kernel.shape[4])
+            for s in (slice(None, f), slice(f, None))]
+
+
 def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor, max_disparity: int,
                 direction: str, depth: int | None = None) -> Tensor:
     """The stride-2 3x3x3 ``conv3d`` of a matching volume, from its two feature maps.
@@ -247,7 +255,8 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
     depth taps reach a d <= D.  The second-view half is f_second shifted by
     d, so for each d <= D and each column tap its R is added with one slice.
     Backward runs the same slices adjointly.  It keeps only the two feature
-    maps, the arrays the lr and rl calls share, and rebuilds their row taps.
+    maps, the arrays the lr and rl calls share, and the kernel, and
+    rebuilds the row taps and kernel halves from them.
     """
     d_max, depth = _volume_geometry(f_first, f_second, max_disparity, direction, depth, "volume_conv")
     h, w, f = f_first.data.shape
@@ -267,11 +276,8 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
     second_taps = [(k, dd, _column_taps(w, sign * (2 * k + dd - 1)))
                    for dd, ks in enumerate(depth_taps) for k in ks]
     rows = (h // 2, 2, w // 2, cout)
-    # each kernel half as (dw, dd) matrices over (dh, c)
-    halves = [kernel.data[:, :, :, s].transpose(1, 2, 0, 3, 4).reshape(3, 3, 3 * f, cout)
-              for s in (slice(None, f), slice(f, None))]
     taps = [_row_taps(f_first.data), _row_taps(f_second.data)]
-    r1, r2 = (np.matmul(t, k).reshape(3, 3, *rows) for t, k in zip(taps, halves))
+    r1, r2 = (np.matmul(t, k).reshape(3, 3, *rows) for t, k in zip(taps, _halves(kernel.data)))
 
     s1 = np.zeros((3,) + rows[:1] + rows[2:], dtype=r1.dtype)
     for dw, p, bs, js in first_taps:
@@ -286,6 +292,7 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
     np.add(out.transpose(1, 2, 0, 3), bias.data, out=result)
     s_maps, sk, sb = (sink(f_first), sink(f_second)), sink(kernel), sink(bias)
     cached = (f_first.data, f_second.data) if sk is not None else None
+    kdata = kernel.data
 
     def bwd(g):
         g = np.ascontiguousarray(g.transpose(2, 0, 1, 3))
@@ -304,7 +311,7 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
             accumulate(sk, np.concatenate(gk, axis=3).transpose(2, 0, 1, 3, 4))
         if sb is not None:
             accumulate(sb, channel_sum(g))
-        for s, gr, k in zip(s_maps, grs, halves):
+        for s, gr, k in zip(s_maps, grs, _halves(kdata)):
             if s is not None:
                 gt = np.tensordot(gr, k, axes=([0, 1, 3], [0, 1, 3]))
                 accumulate(s, _row_taps_adjoint(gt, (h, w, f)))

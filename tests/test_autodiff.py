@@ -264,6 +264,27 @@ class TestBackward:
             ad.set_check_finite(False)
 
 
+class TestReluMask:
+    """relu's backward keeps its output's sign as one bit per element."""
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (3, 5, 7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_passes_where_positive(self, shape, dtype):
+        # exact zeros (either sign) take the subgradient 0
+        x = np.resize([2.0, 0.0, -1.5, 0.25, -0.0, 3.0, -2.0], shape)
+        x = Tensor(x, requires_grad=True, dtype=dtype)
+        k = Tensor(np.random.default_rng(len(shape)).standard_normal(shape), dtype=dtype)
+        ad.backward(ad.sum_reduce(ad.mul(ad.relu(x), k)))
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, np.where(x.data > 0, k.data, 0))
+
+    @pytest.mark.parametrize("n", [9, 105, 1000])
+    def test_closure_holds_one_bit_per_element(self, n):
+        y = ad.relu(Tensor(np.linspace(-1, 1, n), requires_grad=True, dtype=np.float64))
+        held = [c.cell_contents for c in y._bwd.__closure__]
+        assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= -(-n // 8)
+
+
 class TestTape:
     def test_parameter_registration_and_order(self):
         tape = Tape()
