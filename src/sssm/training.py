@@ -152,13 +152,19 @@ def load_optimizer(path, weights: NetworkWeights) -> OptimizerState:
     """Load the state ``save_optimizer`` wrote, checked against ``weights``.
 
     Raises ValueError naming the file and the first offending record: a
-    missing iteration counter, or an accumulator that is missing, extra or
-    shaped unlike its parameter.
+    missing iteration counter or one that is not a single non-negative
+    integer, or an accumulator that is missing, extra or shaped unlike its
+    parameter.
     """
     arrays = checkpoint.load_arrays(path)
     if "__iteration__" not in arrays:
         raise ValueError(f"{path}: optimizer state has no __iteration__ record")
-    iteration = int(arrays.pop("__iteration__")[0])
+    counter = arrays.pop("__iteration__")
+    value = float(counter[0]) if counter.shape == (1,) else None
+    if value is None or not (value >= 0 and value.is_integer()):
+        raise ValueError(f"{path}: optimizer state's __iteration__ {counter.tolist()} "
+                         "is not one non-negative integer")
+    iteration = int(value)
     params = weights.named()
     for name, t in params.items():
         if name not in arrays:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sssm import imageio
+from sssm import checkpoint, imageio
 
 CLI = [sys.executable, "-m", "sssm.cli"]
 
@@ -171,6 +171,22 @@ class TestTrainFlow:
         assert "weights.sssmw.opt" in result.stderr and "__iteration__" in result.stderr
         assert ckpt.read_bytes() == (micro_env / "run" / "weights.sssmw").read_bytes()
         assert not (tmp_path / "out" / "loss_log.csv").exists()
+
+    def test_negative_counter_exits_1_before_touching_the_log(self, micro_env, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("weights.sssmw", "loss_log.csv"):
+            (out / name).write_bytes((micro_env / "run" / name).read_bytes())
+        arrays = checkpoint.load_arrays(micro_env / "run" / "weights.sssmw.opt")
+        arrays["__iteration__"] = np.array([-1.0], dtype=np.float32)
+        checkpoint.save_arrays(out / "weights.sssmw.opt", arrays)
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                         "--checkpoint", str(out / "weights.sssmw"), "--iterations", "4", "--seed", "0")
+        assert result.returncode == 1
+        assert "weights.sssmw.opt" in result.stderr and "__iteration__" in result.stderr
+        log = (micro_env / "run" / "loss_log.csv").read_bytes()
+        assert (out / "loss_log.csv").read_bytes() == log
 
 
 class TestInferEvalFlow:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sssm import synth
+from sssm import checkpoint, synth
 from sssm.autodiff import Tensor, no_grad
 from sssm.data import StereoPair
 from sssm.losses import LossReport, LossWeights, reconstruction_error, total_loss
@@ -172,6 +172,16 @@ class TestCheckpointIo:
         save_weights(path, weights)  # parameter arrays only, no counter
         with pytest.raises(ValueError, match=r"w\.opt: .*__iteration__"):
             load_optimizer(path, weights)
+
+    @pytest.mark.parametrize("counter", [[np.nan], [-1.0], [3.5], [np.inf], [], [2.0, 3.0]],
+                             ids=["nan", "negative", "fractional", "inf", "empty", "two"])
+    def test_optimizer_with_a_bad_iteration_names_the_file(self, tmp_path, counter):
+        weights = init_weights(MICRO, seed=0)
+        arrays = dict(OptimizerState.fresh(weights).acc)
+        arrays["__iteration__"] = np.array(counter, dtype=np.float32)
+        checkpoint.save_arrays(tmp_path / "w.opt", arrays)
+        with pytest.raises(ValueError, match=r"w\.opt: .*__iteration__"):
+            load_optimizer(tmp_path / "w.opt", weights)
 
     def test_optimizer_with_other_shapes_names_the_parameter(self, tmp_path):
         # same layer names, another feature_dim: every accumulator is misshapen
