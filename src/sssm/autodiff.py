@@ -21,9 +21,9 @@ place while a graph reads it: the optimiser updates parameters only after
 backward, and gradcheck probes coordinates only under ``no_grad``.
 ``make_op`` wraps the result and links the parents' nodes.
 
-Elementwise binary ops require exactly equal shapes: there is no implicit
-broadcasting, shape changes go through explicit ops (``repeat``, ``reshape``,
-``crop``, ``pad_zero``).
+Ops are called by name (``add``, ``mul``, ...); ``Tensor`` has no operator
+sugar.  Elementwise binary ops require exactly equal shapes: there is no
+implicit broadcasting, and shape changes go through ``reshape`` and ``crop``.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class Tensor:
     """A dense array plus, when it needs a gradient, its graph ``Node``.
 
     Leaf tensors are created directly; interior ones by ops via ``make_op``.
-    ``grad``, ``_parents`` and ``_bwd`` read and write the node, which
-    ``backward`` frees once its closure has run.
+    ``grad`` and ``_bwd`` read and write the node, which ``backward`` frees
+    once its closure has run.
     """
 
     __slots__ = ("data", "_node")
@@ -113,10 +113,6 @@ class Tensor:
             raise ValueError("cannot set the gradient of a tensor that does not require grad")
 
     @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
-
-    @property
     def _bwd(self):
         return None if self._node is None else self._node.bwd
 
@@ -124,61 +120,13 @@ class Tensor:
     def _bwd(self, fn):
         self._node.bwd = fn
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; scalars dispatch to the scalar ops, tensors require
-    # exactly matching shapes.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 def sink(t: Tensor) -> Node | None:
@@ -452,22 +400,6 @@ def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
     return _reduce(a, axis, mean=False)
 
 
-def repeat(a: Tensor, repeats: int, axis: int) -> Tensor:
-    """Repeat each element ``repeats`` times along ``axis`` (np.repeat)."""
-    repeats = int(repeats)
-    axis = int(axis) % a.data.ndim
-    if repeats < 1:
-        raise ValueError("repeat: repeats must be >= 1")
-    shape = a.data.shape
-    sa = sink(a)
-
-    def bwd(g):
-        folded = g.reshape(shape[:axis] + (shape[axis], repeats) + shape[axis + 1:])
-        accumulate(sa, folded.sum(axis=axis + 1))
-
-    return make_op(np.repeat(a.data, repeats, axis=axis), (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.data.shape
@@ -496,20 +428,6 @@ def crop(a: Tensor, bounds) -> Tensor:
         accumulate(sa, gx)
 
     return make_op(np.ascontiguousarray(out_data), (a,), bwd)
-
-
-def pad_zero(a: Tensor, pads) -> Tensor:
-    """Zero-pad per axis: ``pads`` is one (before, after) pair per axis."""
-    if len(pads) != a.data.ndim:
-        raise ValueError(f"pad_zero: {len(pads)} pad pairs for {a.data.ndim} axes")
-    pads = tuple((int(p[0]), int(p[1])) for p in pads)
-    slices = tuple(slice(p[0], p[0] + n) for p, n in zip(pads, a.data.shape))
-    sa = sink(a)
-
-    def bwd(g):
-        accumulate(sa, g[slices])
-
-    return make_op(np.pad(a.data, pads), (a,), bwd)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

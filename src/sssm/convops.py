@@ -56,19 +56,6 @@ def _same_pads(n: int, k: int, stride: int) -> tuple[int, int, int]:
     return out, before, total - before
 
 
-def _conv_geometry(spatial, k, stride, padding):
-    """Per-axis (out, pad_before, pad_after); raises on impossible shapes."""
-    geo = []
-    for n in spatial:
-        if padding == "same":
-            geo.append(_same_pads(n, k, stride))
-        else:
-            if n < k:
-                raise ValueError(f"conv: extent {n} smaller than kernel {k}")
-            geo.append(((n - k) // stride + 1, 0, 0))
-    return geo
-
-
 class _Grid:
     """Where each kernel tap reads in the flattened phases of a padded input.
 
@@ -84,11 +71,11 @@ class _Grid:
     each tap's ``span`` rows from its shift stay inside the phase.
     """
 
-    def __init__(self, spatial, k: int, stride: int, padding: str):
+    def __init__(self, spatial, k: int, stride: int):
         nd = len(spatial)
         self.spatial = tuple(spatial)
         self.stride = stride
-        geo = _conv_geometry(spatial, k, stride, padding)
+        geo = [_same_pads(n, k, stride) for n in spatial]
         self.out = tuple(g[0] for g in geo)
         slots = [-(-(n + pb + pa) // stride) for n, (_, pb, pa) in zip(spatial, geo)]
         axes = []  # per axis, per phase: (first slot, sample count, input slice)
@@ -146,9 +133,9 @@ class _Grid:
 
 
 @functools.lru_cache(maxsize=64)
-def _grid(spatial: tuple, k: int, stride: int, padding: str) -> _Grid:
+def _grid(spatial: tuple, k: int, stride: int) -> _Grid:
     """The ``_Grid`` of one conv geometry, built once and shared by every call."""
-    return _Grid(spatial, k, stride, padding)
+    return _Grid(spatial, k, stride)
 
 
 def _columns(ph: np.ndarray, grid: _Grid) -> np.ndarray:
@@ -253,7 +240,7 @@ def channel_sum(g: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], dtype=g.dtype) @ rows
 
 
-def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str, nd: int) -> Tensor:
+def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, nd: int) -> Tensor:
     k = kernel.data.shape[0]
     cin, cout = kernel.data.shape[-2], kernel.data.shape[-1]
     if x.data.shape[-1] != cin:
@@ -262,7 +249,7 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str,
         raise ValueError(f"conv: bias shape {bias.data.shape} != ({cout},)")
     if x.data.dtype != kernel.data.dtype:
         raise ValueError(f"conv: dtype mismatch {x.data.dtype} vs {kernel.data.dtype}")
-    grid = _grid(x.data.shape[:-1], k, stride, padding)
+    grid = _grid(x.data.shape[:-1], k, stride)
     w = kernel.data.reshape(k ** nd, cin, cout)
     out_data = grid.extract(_correlate(grid.phases(x.data), w, grid))
     out_data += bias.data
@@ -282,10 +269,10 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: str,
     return make_op(out_data, (x, kernel, bias), bwd)
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2D convolution over an (H, W, Cin) tensor with a (k, k, Cin, Cout) kernel.
 
-    ``padding`` is "same" (stride-1 output matches input dims) or "valid".
+    Same-padded only: stride 1 preserves dims, stride s gives ceil(n / s).
     Odd square kernels only.
     """
     if x.data.ndim != 3:
@@ -296,9 +283,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: st
         raise ValueError(f"conv2d: kernel extent must be odd, got {kernel.data.shape[0]}")
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"conv2d: padding must be 'same' or 'valid', got {padding!r}")
-    return _conv_nd(x, kernel, bias, int(stride), padding, nd=2)
+    return _conv_nd(x, kernel, bias, int(stride), nd=2)
 
 
 def conv3d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -317,7 +302,7 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         bad = [n for n in x.data.shape[:3] if n % 2]
         if bad:
             raise ValueError(f"conv3d: stride-2 input dims must be even, got {x.data.shape[:3]}")
-    return _conv_nd(x, kernel, bias, int(stride), "same", nd=3)
+    return _conv_nd(x, kernel, bias, int(stride), nd=3)
 
 
 def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -339,7 +324,7 @@ def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"deconv3d: input has {y.data.shape[-1]} channels, kernel expects {cout}")
     if bias.data.shape != (cin,):
         raise ValueError(f"deconv3d: bias shape {bias.data.shape} != ({cin},)")
-    grid = _grid(tuple(2 * n for n in y.data.shape[:3]), k, 2, "same")
+    grid = _grid(tuple(2 * n for n in y.data.shape[:3]), k, 2)
     w = kernel.data.reshape(k ** 3, cin, cout)
     out_data = grid.unphase(_correlate_input(grid.embed(y.data), w, grid))
     out_data += bias.data

@@ -16,20 +16,16 @@ def t64(arr, requires_grad=False):
     return Tensor(np.asarray(arr), requires_grad=requires_grad, dtype=np.float64)
 
 
-def brute_conv2d(x, w, b, stride=1, padding="same"):
+def brute_conv2d(x, w, b, stride=1):
     """Nested-loop reference, same-padding (k-1)//2 before the data."""
     k, _, cin, cout = w.shape
-    if padding == "same":
-        out_h, out_w = -(-x.shape[0] // stride), -(-x.shape[1] // stride)
-        pads = []
-        for n, o in ((x.shape[0], out_h), (x.shape[1], out_w)):
-            total = max(0, (o - 1) * stride + k - n)
-            before = min((k - 1) // 2, total)
-            pads.append((before, total - before))
-        xp = np.pad(x, pads + [(0, 0)])
-    else:
-        out_h, out_w = (x.shape[0] - k) // stride + 1, (x.shape[1] - k) // stride + 1
-        xp = x
+    out_h, out_w = -(-x.shape[0] // stride), -(-x.shape[1] // stride)
+    pads = []
+    for n, o in ((x.shape[0], out_h), (x.shape[1], out_w)):
+        total = max(0, (o - 1) * stride + k - n)
+        before = min((k - 1) // 2, total)
+        pads.append((before, total - before))
+    xp = np.pad(x, pads + [(0, 0)])
     out = np.zeros((out_h, out_w, cout))
     for i in range(out_h):
         for j in range(out_w):
@@ -101,23 +97,20 @@ class TestConv2d:
         assert out[0, 0] == 4.0
         assert out[0, 2] == 6.0
 
-    @pytest.mark.parametrize("seed,stride,padding,cin,cout", [
-        pytest.param(14, 1, "same", 2, 4, id="1-same"),
-        pytest.param(24, 2, "same", 2, 4, id="2-same"),
-        pytest.param(15, 1, "valid", 2, 4, id="1-valid"),
-        pytest.param(34, 3, "same", 2, 4, id="3-same"),
-        pytest.param(25, 2, "valid", 2, 4, id="2-valid"),
-        pytest.param(40, 2, "same", 5, 3, id="2-same-5to3"),
-        pytest.param(41, 3, "valid", 4, 1, id="3-valid-4to1"),
+    @pytest.mark.parametrize("seed,stride,cin,cout", [
+        pytest.param(14, 1, 2, 4, id="1-same"),
+        pytest.param(24, 2, 2, 4, id="2-same"),
+        pytest.param(34, 3, 2, 4, id="3-same"),
+        pytest.param(40, 2, 5, 3, id="2-same-5to3"),
     ])
-    def test_matches_brute_force(self, seed, stride, padding, cin, cout):
+    def test_matches_brute_force(self, seed, stride, cin, cout):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((7, 9, cin))
         w = rng.standard_normal((3, 3, cin, cout))
         b = rng.standard_normal(cout)
-        out = conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
-        np.testing.assert_allclose(out.data, brute_conv2d(x, w, b, stride, padding), atol=1e-12)
-        _check_backward_is_adjoint(conv2d, x, w, stride=stride, padding=padding)
+        out = conv2d(t64(x), t64(w), t64(b), stride=stride)
+        np.testing.assert_allclose(out.data, brute_conv2d(x, w, b, stride), atol=1e-12)
+        _check_backward_is_adjoint(conv2d, x, w, stride=stride)
 
     def test_same_stride1_preserves_dims(self):
         out = conv2d(t64(np.zeros((6, 11, 2))), t64(np.zeros((5, 5, 2, 3))), t64(np.zeros(3)))
@@ -133,8 +126,6 @@ class TestConv2d:
             conv2d(x, w, t64(np.zeros(3)))  # bias length
         with pytest.raises(ValueError):
             conv2d(x, w, b, stride=0)
-        with pytest.raises(ValueError):
-            conv2d(x, w, b, padding="reflect")
 
 
 class TestConv3d:
@@ -256,7 +247,7 @@ class TestRowBlocks:
         monkeypatch.setattr(convops, "_BLOCK_ROWS", self.BLOCK)
 
     def _assert_blocked(self, spatial, stride, cin, cout):
-        grid = convops._grid(spatial, 3, stride, "same")
+        grid = convops._grid(spatial, 3, stride)
         assert convops._per_tap(cin, cout)
         assert grid.span > 2 * self.BLOCK and grid.span % self.BLOCK
 
@@ -336,19 +327,17 @@ class TestAxisOrders:
 class TestGrid:
     """The flattened phase layout itself."""
 
-    @pytest.mark.parametrize("spatial,stride,padding,span", [
-        pytest.param((32, 64, 10), 1, "same", 21384, id="scale1-s1"),
-        pytest.param((16, 32, 5), 1, "same", 2771, id="scale2-s1"),
-        pytest.param((32, 64, 10), 2, "same", 2771, id="scale1-s2"),
-        pytest.param((64, 128, 20), 2, "same", 21384, id="volume-s2"),
-        pytest.param((64, 128), 1, "same", 8255, id="image-s1"),
-        pytest.param((9, 7), 3, "same", 9, id="2d-s3"),
-        pytest.param((7, 9), 2, "valid", 14, id="2d-s2-valid"),
-        pytest.param((5, 3, 4), 1, "valid", 8, id="3d-s1-valid"),
-        pytest.param((6, 2, 4), 2, "same", 7, id="3d-s2-short-middle"),
+    @pytest.mark.parametrize("spatial,stride,span", [
+        pytest.param((32, 64, 10), 1, 21384, id="scale1-s1"),
+        pytest.param((16, 32, 5), 1, 2771, id="scale2-s1"),
+        pytest.param((32, 64, 10), 2, 2771, id="scale1-s2"),
+        pytest.param((64, 128, 20), 2, 21384, id="volume-s2"),
+        pytest.param((64, 128), 1, 8255, id="image-s1"),
+        pytest.param((9, 7), 3, 9, id="2d-s3"),
+        pytest.param((6, 2, 4), 2, 7, id="3d-s2-short-middle"),
     ])
-    def test_invariants(self, spatial, stride, padding, span):
-        grid = convops._Grid(spatial, 3, stride, padding)
+    def test_invariants(self, spatial, stride, span):
+        grid = convops._Grid(spatial, 3, stride)
         assert grid.span == span
         for _, shift in grid.taps:
             assert 0 <= shift and shift + grid.span <= grid.rows

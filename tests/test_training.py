@@ -227,14 +227,14 @@ class TestTrainStep:
         # Normal inputs cannot reach this guard (upstream validation rejects
         # NaN images and disparities first), so inject the fault at the loss.
         import sssm.training as training_mod
-        from sssm.autodiff import mean_reduce
+        from sssm.autodiff import mean_reduce, scale
         from sssm.losses import LossReport
 
         def poisoned_total_loss(i_l, i_r, d_l, d_r, lw, margin):
             report = LossReport(total=float("nan"), unary_l=float("inf"), unary_r=0.0,
                                 smooth_l=0.0, smooth_r=0.0, loop_l=0.0, loop_r=0.0,
                                 mdh_l=0.0, mdh_r=0.0)
-            return (mean_reduce(d_l) * 0.0, report)
+            return (scale(mean_reduce(d_l), 0.0), report)
 
         monkeypatch.setattr(training_mod, "total_loss", poisoned_total_loss)
         weights = init_weights(MICRO, seed=0)
