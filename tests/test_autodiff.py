@@ -1,6 +1,8 @@
 """Tensor engine: forward semantics, backward rules, tape bookkeeping."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +334,39 @@ def test_composed_l1_gradient_matches_finite_differences(seed):
         xv[idx] = orig
         num = (fp - fm) / (2 * h)
         np.testing.assert_allclose(x.grad[idx], num, atol=1e-6)
+
+
+def test_every_public_op_is_called():
+    """Dead-code guard over ``autodiff`` and ``convops``.
+
+    Every public module-level function and class, and every ``Tensor``
+    method, must be referenced (as a name, an attribute or an import alias)
+    by the program in ``src/sssm`` or by the benchmark in ``perfbench``.
+    ``gradcheck`` does not count: it checks ops, so it would keep any op
+    alive.  Methods Python calls implicitly are exempt.
+    """
+    root = Path(__file__).resolve().parents[1]
+    implicit = {"__init__", "__repr__", "__enter__", "__exit__"}
+    # The documented switch for finding the op that first went non-finite;
+    # it is flipped by hand when debugging, so no program path calls it.
+    allowed = {"set_check_finite"}
+    defined = set()
+    for module in ("autodiff", "convops"):
+        for node in ast.parse((root / "src" / "sssm" / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef) and node.name == "Tensor":
+                defined.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+    callers = [p for p in (root / "src" / "sssm").glob("*.py") if p.name != "gradcheck.py"]
+    callers += (root / "perfbench").glob("*.py")
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(defined - implicit - allowed - used)
+    assert not unused, f"nothing in src/sssm or perfbench calls {unused}"
