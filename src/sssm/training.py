@@ -116,7 +116,12 @@ def save_weights(path, weights: NetworkWeights) -> None:
 
 
 def load_weights(path, weights: NetworkWeights) -> None:
-    """Load a checkpoint into an existing parameter set, strictly by name."""
+    """Load a checkpoint into an existing parameter set, strictly by name.
+
+    Every record is checked before any parameter is assigned: a name,
+    shape or non-finite value that does not fit raises ValueError naming
+    the file and the first offending record.
+    """
     arrays = checkpoint.load_arrays(path)
     params = weights.named()
     missing = sorted(set(params) - set(arrays))
@@ -131,6 +136,9 @@ def load_weights(path, weights: NetworkWeights) -> None:
             raise ValueError(
                 f"{path}: {name} has shape {arrays[name].shape}, expected {t.data.shape}"
             )
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"{path}: {name} holds non-finite values")
+    for name, t in params.items():
         t.data = arrays[name].astype(t.data.dtype)
 
 
@@ -153,8 +161,9 @@ def load_optimizer(path, weights: NetworkWeights) -> OptimizerState:
 
     Raises ValueError naming the file and the first offending record: a
     missing iteration counter or one that is not a single non-negative
-    integer, or an accumulator that is missing, extra or shaped unlike its
-    parameter.
+    integer, or an accumulator that is missing, extra, shaped unlike its
+    parameter, or holds a value that is not finite and >= 0 (RMSProp takes
+    its square root).
     """
     arrays = checkpoint.load_arrays(path)
     if "__iteration__" not in arrays:
@@ -172,6 +181,9 @@ def load_optimizer(path, weights: NetworkWeights) -> OptimizerState:
         if arrays[name].shape != t.data.shape:
             raise ValueError(f"{path}: optimizer state for {name} has shape "
                              f"{arrays[name].shape}, expected {t.data.shape}")
+        if not np.all(np.isfinite(arrays[name]) & (arrays[name] >= 0)):
+            raise ValueError(f"{path}: optimizer state for {name} holds a value "
+                             "that is not finite and >= 0")
     extra = [name for name in arrays if name not in params]
     if extra:
         raise ValueError(f"{path}: optimizer state has an accumulator for {extra[0]}, "

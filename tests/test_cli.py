@@ -201,6 +201,17 @@ class TestInferEvalFlow:
                 assert d.shape == (24, 40)
                 assert (d >= 0).all() and (d <= 4).all()
 
+    def test_infer_with_a_nan_weight_exits_1_naming_the_record(self, micro_env, tmp_path):
+        arrays = checkpoint.load_arrays(micro_env / "run" / "weights.sssmw")
+        arrays["feat/l01/w"][0, 0, 0, 0] = np.nan
+        checkpoint.save_arrays(tmp_path / "nan.sssmw", arrays)
+        result = run_cli("infer", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--checkpoint", str(tmp_path / "nan.sssmw"),
+                         "--out", str(tmp_path / "pred"), "--config", str(micro_env / "micro.cfg"))
+        assert result.returncode == 1
+        assert "nan.sssmw" in result.stderr and "feat/l01/w" in result.stderr
+        assert not (tmp_path / "pred").exists()
+
     def test_eval_prints_metrics(self, micro_env):
         if not (micro_env / "pred" / "0000_dl.pfm").is_file():
             infer = run_cli("infer", "--manifest", str(micro_env / "data" / "manifest.txt"),

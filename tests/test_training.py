@@ -133,6 +133,19 @@ class TestCheckpointIo:
         with pytest.raises(ValueError):
             load_weights(path, fatter)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_load_rejects_non_finite_weights_before_assigning(self, tmp_path, bad):
+        weights = init_weights(MICRO, seed=3)
+        arrays = {n: t.data.copy() for n, t in weights.named().items()}
+        arrays["tdm/dc2/b"][0] = bad  # the last record: every other one is fine
+        checkpoint.save_arrays(tmp_path / "w.bin", arrays)
+        other = init_weights(MICRO, seed=9)
+        before = {n: t.data.copy() for n, t in other.named().items()}
+        with pytest.raises(ValueError, match=r"w\.bin: tdm/dc2/b .*non-finite"):
+            load_weights(tmp_path / "w.bin", other)
+        for n, t in other.named().items():
+            np.testing.assert_array_equal(t.data, before[n])
+
     def test_optimizer_round_trip(self, tmp_path):
         weights = init_weights(MICRO, seed=0)
         opt = OptimizerState.fresh(weights)
@@ -181,6 +194,15 @@ class TestCheckpointIo:
         arrays["__iteration__"] = np.array(counter, dtype=np.float32)
         checkpoint.save_arrays(tmp_path / "w.opt", arrays)
         with pytest.raises(ValueError, match=r"w\.opt: .*__iteration__"):
+            load_optimizer(tmp_path / "w.opt", weights)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_optimizer_with_an_impossible_accumulator_names_it(self, tmp_path, bad):
+        weights = init_weights(MICRO, seed=0)
+        opt = OptimizerState.fresh(weights)
+        opt.acc["tdm/dc1/b"][0] = bad
+        save_optimizer(tmp_path / "w.opt", opt)
+        with pytest.raises(ValueError, match=r"w\.opt: .*tdm/dc1/b .*finite and >= 0"):
             load_optimizer(tmp_path / "w.opt", weights)
 
     def test_optimizer_with_other_shapes_names_the_parameter(self, tmp_path):
