@@ -14,6 +14,7 @@ columns for left-view terms, the rightmost for right-view terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,8 +47,9 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"LossWeights.{f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"LossWeights.{f.name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -46,12 +46,14 @@ class NetConfig:
     def __post_init__(self):
         if self.feature_layers < 1:
             raise ValueError("feature_layers must be >= 1")
+        if self.skip_every < 1:
+            raise ValueError("skip_every must be >= 1")
         if self.feature_layers % self.skip_every != 0:
             raise ValueError(
                 f"feature_layers ({self.feature_layers}) must be divisible by skip_every ({self.skip_every})"
             )
-        if self.kernel % 2 != 1:
-            raise ValueError("kernel extent must be odd")
+        if self.kernel < 1 or self.kernel % 2 != 1:
+            raise ValueError("kernel extent must be odd and >= 1")
         if self.feature_dim < 1 or self.disparity_range < 1 or self.restdm_scales < 1:
             raise ValueError("feature_dim, disparity_range and restdm_scales must be >= 1")
 

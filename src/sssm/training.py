@@ -17,6 +17,7 @@ bit for bit, on the same platform with the same thread settings.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
@@ -69,8 +70,10 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.dropped_learning_rate < 0:
-            raise ValueError("learning rates must be >= 0")
+        for name in ("learning_rate", "dropped_learning_rate", "smooth_scratch", "smooth_converged"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.smooth_scratch > 0.001:
             raise ValueError(
                 f"smooth_scratch must be <= 0.001 (got {self.smooth_scratch}); a strong "
@@ -80,6 +83,8 @@ class TrainConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.crop_height < 1 or self.crop_width < 1:
             raise ValueError("crop dims must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
     def lr_at(self, iteration: int) -> float:
         return self.learning_rate if iteration < self.lr_drop_iteration else self.dropped_learning_rate

@@ -76,6 +76,25 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_run_config("feature_layers = 7\nskip_every = 3\n")
 
+    @pytest.mark.parametrize("line", [
+        "skip_every = 0",
+        "skip_every = -3",
+        "kernel = -1",
+        "learning_rate = nan",
+        "learning_rate = inf",
+        "dropped_learning_rate = -inf",
+        "smooth_scratch = -1",
+        "smooth_converged = -1",
+        "smooth_converged = nan",
+        "checkpoint_every = -5",
+        "w_photo = nan",
+        "lam_ssim = inf",
+    ])
+    def test_value_that_cannot_run_is_rejected_naming_the_field(self, line):
+        field = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=field):
+            parse_run_config(line + "\n")
+
 
 class TestFiles:
     def test_load_round_trip(self, tmp_path):
