@@ -6,30 +6,3 @@ matching volumes, a residual 3D encoder-decoder that regularises them, and
 soft-argmin disparity readout.  Training needs no ground-truth disparity;
 the supervision signal is image reconstruction by disparity warping.
 """
-
-from .autodiff import Tensor, Tape, no_grad, backward
-from .network import NetConfig, NetworkWeights, init_weights, forward
-from .losses import LossWeights, LossReport, total_loss
-from .data import StereoPair, DisparityGT, DatasetManifest
-from .training import TrainConfig, train_from_scratch, online_adapt, infer
-
-__all__ = [
-    "Tensor",
-    "Tape",
-    "no_grad",
-    "backward",
-    "NetConfig",
-    "NetworkWeights",
-    "init_weights",
-    "forward",
-    "LossWeights",
-    "LossReport",
-    "total_loss",
-    "StereoPair",
-    "DisparityGT",
-    "DatasetManifest",
-    "TrainConfig",
-    "train_from_scratch",
-    "online_adapt",
-    "infer",
-]

@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if manifest:
             p.add_argument("--manifest", required=True, help="dataset manifest file")
         if checkpoint:
-            p.add_argument("--checkpoint", required=True, help="weight container (SSSMW1)")
+            p.add_argument("--checkpoint", required=True,
+                           help="checkpoint file (SSSMW2: weights, RMSProp state, iteration)")
         if out:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="key = value run config file")
@@ -54,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="optimise from random weights (or resume a checkpoint)")
     common(p)
-    p.add_argument("--checkpoint", help="weight file to write (and resume from when it exists)")
+    p.add_argument("--checkpoint", help="checkpoint to write, and to resume from when it exists "
+                   "(default: OUT/weights.sssmw)")
     p.add_argument("--iterations", type=int, help="override max iterations")
 
     p = sub.add_parser("adapt", help="online adaptation: predict each pair, then learn from it")
@@ -116,25 +118,23 @@ def _cmd_train(args) -> int:
     from .config import format_run_config
     from .data import DatasetManifest
     from .network import init_weights
-    from .training import load_optimizer, load_weights, train_from_scratch
+    from .training import load_checkpoint, train_from_scratch
 
     cfg = _load_config(args)
     if args.iterations is not None:
         cfg = replace(cfg, train=replace(cfg.train, max_iterations=args.iterations))
     out = Path(args.out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "weights.sssmw"
-    opt_path = Path(str(ckpt) + ".opt")
-    if ckpt.is_file() and not opt_path.is_file():
-        raise FileNotFoundError(f"cannot resume from {ckpt}: optimizer state not found: {opt_path}")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.txt").write_text(format_run_config(cfg))
-    pairs = DatasetManifest.load(args.manifest).load_all()
     weights = init_weights(cfg.net, seed=cfg.train.seed)
     opt = None
     if ckpt.is_file():
-        load_weights(ckpt, weights)
-        opt = load_optimizer(opt_path, weights)
+        opt = load_checkpoint(ckpt, weights)
         logging.getLogger(__name__).info("resuming from %s", ckpt)
+    pairs = DatasetManifest.load(args.manifest).load_all()
+    # Nothing is written before the resume and the dataset have loaded.
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    (out / "run_config.txt").write_text(format_run_config(cfg))
     opt, _ = train_from_scratch(
         pairs, weights, cfg.train, cfg.loss, opt=opt, margin=_margin(cfg),
         log_path=out / "loss_log.csv", checkpoint_path=ckpt,
@@ -156,21 +156,22 @@ def _cmd_adapt(args) -> int:
     from .data import DatasetManifest
     from .imageio import write_pfm
     from .network import init_weights
-    from .training import LossLog, load_weights, online_adapt, save_weights
+    from .training import LossLog, OptimizerState, load_checkpoint, online_adapt, save_checkpoint
 
     if args.iterations is not None and args.iterations < 1:
         raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
     cfg = _load_config(args)
     manifest = DatasetManifest.load(args.manifest)
     weights = init_weights(cfg.net, seed=cfg.train.seed)
-    load_weights(_require_file(args.checkpoint, "checkpoint"), weights)
+    load_checkpoint(_require_file(args.checkpoint, "checkpoint"), weights)
+    opt = OptimizerState.fresh(weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     logger = LossLog(out / "adapt_log.csv")
     stream = _adapt_stream(manifest, args.iterations)
     steps = 0
     try:
-        for result in online_adapt(weights, stream, cfg.train, cfg.loss, margin=_margin(cfg)):
+        for result in online_adapt(weights, stream, cfg.train, cfg.loss, opt=opt, margin=_margin(cfg)):
             write_pfm(out / f"{result.index:04d}_dl.pfm", result.d_left)
             write_pfm(out / f"{result.index:04d}_dr.pfm", result.d_right)
             logger.record(result.index, cfg.train.lr_at(result.index), result.report, result.warp_error)
@@ -178,7 +179,7 @@ def _cmd_adapt(args) -> int:
     finally:
         logger.close()
     adapted = out / "adapted.sssmw"
-    save_weights(adapted, weights)
+    save_checkpoint(adapted, weights, opt)
     print(f"adapted over {steps} pairs; weights at {adapted}")
     return 0
 
@@ -187,12 +188,12 @@ def _cmd_infer(args) -> int:
     from .data import DatasetManifest
     from .imageio import write_pfm
     from .network import init_weights
-    from .training import infer, load_weights
+    from .training import infer, load_checkpoint
 
     cfg = _load_config(args)
     manifest = DatasetManifest.load(args.manifest)
     weights = init_weights(cfg.net, seed=cfg.train.seed)
-    load_weights(_require_file(args.checkpoint, "checkpoint"), weights)
+    load_checkpoint(_require_file(args.checkpoint, "checkpoint"), weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(len(manifest)):

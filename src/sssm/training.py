@@ -116,84 +116,57 @@ class OptimizerState:
             t.data -= t.data.dtype.type(lr) * g / np.sqrt(a + a.dtype.type(self.eps))
 
 
-def save_weights(path, weights: NetworkWeights) -> None:
-    checkpoint.save_arrays(path, {n: t.data for n, t in weights.named().items()})
+def save_checkpoint(path, weights: NetworkWeights, opt: OptimizerState) -> None:
+    """Write a run's whole state as one container, replacing ``path`` atomically.
 
-
-def load_weights(path, weights: NetworkWeights) -> None:
-    """Load a checkpoint into an existing parameter set, strictly by name.
-
-    Every record is checked before any parameter is assigned: a name,
-    shape or non-finite value that does not fit raises ValueError naming
-    the file and the first offending record.
+    Records: every parameter by name, then its RMSProp accumulator as
+    ``rmsprop/<name>``, then ``__iteration__``, one int64.
     """
-    arrays = checkpoint.load_arrays(path)
-    params = weights.named()
-    missing = sorted(set(params) - set(arrays))
-    unexpected = sorted(set(arrays) - set(params))
-    if missing or unexpected:
-        raise ValueError(
-            f"{path}: parameter names do not match the architecture "
-            f"(missing {missing or 'none'}, unexpected {unexpected or 'none'})"
-        )
-    for name, t in params.items():
-        if arrays[name].shape != t.data.shape:
-            raise ValueError(
-                f"{path}: {name} has shape {arrays[name].shape}, expected {t.data.shape}"
-            )
-        if not np.all(np.isfinite(arrays[name])):
-            raise ValueError(f"{path}: {name} holds non-finite values")
-    for name, t in params.items():
-        t.data = arrays[name].astype(t.data.dtype)
-
-
-def save_optimizer(path, opt: OptimizerState) -> None:
-    """Write the RMSProp accumulators and the iteration counter.
-
-    The counter is stored as float32, which holds every integer only up to
-    2^24; a larger one is refused before anything is written.
-    """
-    if opt.iteration > 2 ** 24:
-        raise ValueError(f"save_optimizer: iteration {opt.iteration} exceeds 2^24, "
-                         "the largest counter the float32 container stores exactly")
-    arrays = dict(opt.acc)
-    arrays["__iteration__"] = np.array([opt.iteration], dtype=np.float32)
+    arrays = {n: t.data for n, t in weights.named().items()}
+    arrays.update((f"rmsprop/{n}", a) for n, a in opt.acc.items())
+    arrays["__iteration__"] = np.array([opt.iteration], dtype=np.int64)
     checkpoint.save_arrays(path, arrays)
 
 
-def load_optimizer(path, weights: NetworkWeights) -> OptimizerState:
-    """Load the state ``save_optimizer`` wrote, checked against ``weights``.
+def load_checkpoint(path, weights: NetworkWeights) -> OptimizerState:
+    """Load a ``save_checkpoint`` file into ``weights``; return its optimizer state.
 
-    Raises ValueError naming the file and the first offending record: a
-    missing iteration counter or one that is not a single non-negative
-    integer, or an accumulator that is missing, extra, shaped unlike its
-    parameter, or holds a value that is not finite and >= 0 (RMSProp takes
-    its square root).
+    Every record is checked before any parameter is assigned.  A missing or
+    extra record, a shape or dtype unlike the parameter's, a weight that is
+    not finite, an accumulator that is not finite and >= 0 (RMSProp takes
+    its square root) or an ``__iteration__`` that is not one non-negative
+    integer raises ValueError naming the file and the first bad record.
     """
     arrays = checkpoint.load_arrays(path)
-    if "__iteration__" not in arrays:
-        raise ValueError(f"{path}: optimizer state has no __iteration__ record")
-    counter = arrays.pop("__iteration__")
-    value = float(counter[0]) if counter.shape == (1,) else None
-    if value is None or not (value >= 0 and value.is_integer()):
-        raise ValueError(f"{path}: optimizer state's __iteration__ {counter.tolist()} "
-                         "is not one non-negative integer")
-    iteration = int(value)
     params = weights.named()
+    names = [*params, *(f"rmsprop/{n}" for n in params), "__iteration__"]
+    known = set(names)
+    missing = [n for n in names if n not in arrays]
+    unexpected = [n for n in arrays if n not in known]
+    if missing or unexpected:
+        raise ValueError(
+            f"{path}: records do not match the architecture (first missing "
+            f"{missing[0] if missing else 'none'} of {len(missing)}, first unexpected "
+            f"{unexpected[0] if unexpected else 'none'} of {len(unexpected)})"
+        )
+    counter = arrays["__iteration__"]
+    if counter.dtype != np.int64 or counter.shape != (1,) or counter[0] < 0:
+        raise ValueError(f"{path}: __iteration__ {counter.tolist()} ({counter.dtype}) "
+                         "is not one non-negative integer")
+    for name in names[:-1]:
+        value, shape = arrays[name], params[name.removeprefix("rmsprop/")].data.shape
+        if value.shape != shape or value.dtype != np.float32:
+            raise ValueError(f"{path}: {name} has shape {value.shape} and dtype {value.dtype}, "
+                             f"expected {shape} and float32")
+        if name.startswith("rmsprop/"):
+            if not np.all(np.isfinite(value) & (value >= 0)):
+                raise ValueError(f"{path}: {name} holds a value that is not finite and >= 0")
+        elif not np.all(np.isfinite(value)):
+            raise ValueError(f"{path}: {name} holds non-finite values")
     for name, t in params.items():
-        if name not in arrays:
-            raise ValueError(f"{path}: optimizer state has no accumulator for {name}")
-        if arrays[name].shape != t.data.shape:
-            raise ValueError(f"{path}: optimizer state for {name} has shape "
-                             f"{arrays[name].shape}, expected {t.data.shape}")
-        if not np.all(np.isfinite(arrays[name]) & (arrays[name] >= 0)):
-            raise ValueError(f"{path}: optimizer state for {name} holds a value "
-                             "that is not finite and >= 0")
-    extra = [name for name in arrays if name not in params]
-    if extra:
-        raise ValueError(f"{path}: optimizer state has an accumulator for {extra[0]}, "
-                         "which is not a parameter")
-    return OptimizerState(acc=arrays, iteration=iteration)
+        t.data = arrays[name]
+    return OptimizerState(acc={n: arrays[f"rmsprop/{n}"] for n in params},
+                          iteration=int(counter[0]))
 
 
 def _forward_frame(weights: NetworkWeights, left, right) -> tuple[Tensor, Tensor]:
@@ -359,8 +332,7 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
                 done == cfg.max_iterations
                 or (cfg.checkpoint_every and done % cfg.checkpoint_every == 0)
             ):
-                save_weights(checkpoint_path, weights)
-                save_optimizer(str(checkpoint_path) + ".opt", opt)
+                save_checkpoint(checkpoint_path, weights, opt)
     finally:
         logger.close()
     return opt, logger

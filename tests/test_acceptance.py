@@ -377,7 +377,7 @@ def test_criterion_8_determinism(tmp_path):
         outs.append(out)
 
     checked = []
-    for rel in ("loss_log.csv", "weights.sssmw", "weights.sssmw.opt"):
+    for rel in ("loss_log.csv", "weights.sssmw"):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), f"{rel} differs"
         checked.append(rel)
     return "6-iteration toy runs; " + ", ".join(checked) + " identical"
@@ -386,7 +386,7 @@ def test_criterion_8_determinism(tmp_path):
 # --- criterion 9 -----------------------------------------------------------
 
 
-@criterion(9, "PPM/PGM/PFM/SSSMW1 round trips lossless; GT quantization bound 1/256 px")
+@criterion(9, "PPM/PGM/PFM/SSSMW2 round trips lossless; GT quantization bound 1/256 px")
 def test_criterion_9_io_round_trips(tmp_path):
     rng = np.random.default_rng(9)
 

@@ -337,7 +337,7 @@ def test_composed_l1_gradient_matches_finite_differences(seed):
 
 
 def test_every_public_op_is_called():
-    """Dead-code guard over ``autodiff`` and ``convops``.
+    """Dead-code guard over ``autodiff``, ``convops``, ``checkpoint`` and ``training``.
 
     Every public module-level function and class, and every ``Tensor``
     method, must be referenced (as a name, an attribute or an import alias)
@@ -351,7 +351,7 @@ def test_every_public_op_is_called():
     # it is flipped by hand when debugging, so no program path calls it.
     allowed = {"set_check_finite"}
     defined = set()
-    for module in ("autodiff", "convops"):
+    for module in ("autodiff", "convops", "checkpoint", "training"):
         for node in ast.parse((root / "src" / "sssm" / f"{module}.py").read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.add(node.name)

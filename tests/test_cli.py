@@ -113,9 +113,8 @@ class TestSynth:
 class TestTrainFlow:
     def test_run_directory_contents(self, micro_env):
         run = micro_env / "run"
-        assert (run / "weights.sssmw").is_file()
-        assert (run / "weights.sssmw.opt").is_file()
-        assert (run / "run_config.txt").is_file()
+        assert sorted(p.name for p in run.iterdir()) == ["loss_log.csv", "run_config.txt",
+                                                          "weights.sssmw"]
         log = (run / "loss_log.csv").read_text().splitlines()
         assert len(log) == 3  # header + 2 iterations
         assert log[0].startswith("iteration,lr,total")
@@ -130,21 +129,6 @@ class TestTrainFlow:
         assert result.returncode == 0, result.stderr
         assert "iteration 4" in result.stdout
 
-    def test_resume_without_optimizer_state_exits_1_before_writing(self, micro_env, tmp_path):
-        ckpt = tmp_path / "weights.sssmw"
-        ckpt.write_bytes((micro_env / "run" / "weights.sssmw").read_bytes())
-        out = tmp_path / "out"
-        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
-                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
-                         "--checkpoint", str(ckpt), "--iterations", "4", "--seed", "0")
-        assert result.returncode == 1
-        assert result.stderr.startswith("error:")
-        assert "weights.sssmw.opt" in result.stderr
-        assert not out.exists()
-        assert ckpt.read_bytes() == (micro_env / "run" / "weights.sssmw").read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.sssmw"]
-
-
     def test_resumed_run_equals_uninterrupted_run(self, micro_env, tmp_path):
         def train(out, iterations):
             result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
@@ -155,38 +139,84 @@ class TestTrainFlow:
         train(tmp_path / "full", 5)
         train(tmp_path / "resumed", 3)
         train(tmp_path / "resumed", 5)
-        for name in ("loss_log.csv", "weights.sssmw", "weights.sssmw.opt"):
+        for name in ("loss_log.csv", "weights.sssmw"):
             full, resumed = (tmp_path / run / name for run in ("full", "resumed"))
             assert resumed.read_bytes() == full.read_bytes(), name
         assert len((tmp_path / "full" / "loss_log.csv").read_text().splitlines()) == 6
 
-    def test_optimizer_state_without_counter_exits_1_naming_it(self, micro_env, tmp_path):
-        ckpt = tmp_path / "weights.sssmw"
-        ckpt.write_bytes((micro_env / "run" / "weights.sssmw").read_bytes())
-        (tmp_path / "weights.sssmw.opt").write_bytes(ckpt.read_bytes())
+    def test_checkpoint_in_a_missing_directory_is_created(self, micro_env, tmp_path):
+        ckpt = tmp_path / "nodir" / "sub" / "w.sssmw"
         result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
                          "--out", str(tmp_path / "out"), "--config", str(micro_env / "micro.cfg"),
-                         "--checkpoint", str(ckpt), "--iterations", "4", "--seed", "0")
-        assert result.returncode == 1
-        assert "weights.sssmw.opt" in result.stderr and "__iteration__" in result.stderr
-        assert ckpt.read_bytes() == (micro_env / "run" / "weights.sssmw").read_bytes()
-        assert not (tmp_path / "out" / "loss_log.csv").exists()
+                         "--checkpoint", str(ckpt), "--seed", "0")
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == ["w.sssmw"]
+        assert checkpoint.load_arrays(ckpt)["__iteration__"].tolist() == [2]
 
-    def test_negative_counter_exits_1_before_touching_the_log(self, micro_env, tmp_path):
-        out = tmp_path / "run"
-        out.mkdir()
-        for name in ("weights.sssmw", "loss_log.csv"):
-            (out / name).write_bytes((micro_env / "run" / name).read_bytes())
-        arrays = checkpoint.load_arrays(micro_env / "run" / "weights.sssmw.opt")
-        arrays["__iteration__"] = np.array([-1.0], dtype=np.float32)
-        checkpoint.save_arrays(out / "weights.sssmw.opt", arrays)
+    def test_kill_between_checkpoint_writes_resumes_exactly(self, micro_env, tmp_path, monkeypatch):
+        # In-process, so that a wrapped save_arrays can stand in for a kill
+        # right after the first file of iteration 4's checkpoint is in place.
+        from sssm import cli
+
+        cfg = tmp_path / "every2.cfg"
+        cfg.write_text(MICRO_CFG + "checkpoint_every = 2\n")
+
+        def train(out):
+            return cli.main(["train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                             "--out", str(out), "--config", str(cfg), "--iterations", "6",
+                             "--seed", "3"])
+
+        full, killed = tmp_path / "full", tmp_path / "killed"
+        assert train(full) == 0
+        save = checkpoint.save_arrays
+
+        def save_then_kill_at_4(path, arrays):
+            save(path, arrays)
+            if len((killed / "loss_log.csv").read_text().splitlines()) == 1 + 4:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint, "save_arrays", save_then_kill_at_4)
+        with pytest.raises(KeyboardInterrupt):
+            train(killed)
+        monkeypatch.undo()
+        assert len((killed / "loss_log.csv").read_text().splitlines()) == 1 + 4
+        assert train(killed) == 0
+        for name in ("loss_log.csv", "weights.sssmw"):
+            assert (killed / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_optimizer_state_without_counter_exits_1_naming_it(self, micro_env, tmp_path):
+        arrays = checkpoint.load_arrays(micro_env / "run" / "weights.sssmw")
+        del arrays["__iteration__"]
+        ckpt = tmp_path / "weights.sssmw"
+        checkpoint.save_arrays(ckpt, arrays)
+        before = ckpt.read_bytes()
+        out = tmp_path / "out"
         result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
                          "--out", str(out), "--config", str(micro_env / "micro.cfg"),
-                         "--checkpoint", str(out / "weights.sssmw"), "--iterations", "4", "--seed", "0")
+                         "--checkpoint", str(ckpt), "--iterations", "4", "--seed", "0")
         assert result.returncode == 1
-        assert "weights.sssmw.opt" in result.stderr and "__iteration__" in result.stderr
-        log = (micro_env / "run" / "loss_log.csv").read_bytes()
-        assert (out / "loss_log.csv").read_bytes() == log
+        assert result.stderr.startswith("error:")
+        assert "weights.sssmw" in result.stderr and "__iteration__" in result.stderr
+        assert not out.exists()
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.sssmw"]
+
+    def test_negative_counter_exits_1_before_touching_the_log(self, micro_env, tmp_path):
+        # A refused resume leaves the run as it was: log, run config and checkpoint.
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("loss_log.csv", "run_config.txt"):
+            (out / name).write_bytes((micro_env / "run" / name).read_bytes())
+        arrays = checkpoint.load_arrays(micro_env / "run" / "weights.sssmw")
+        arrays["__iteration__"] = np.array([-1], dtype=np.int64)
+        checkpoint.save_arrays(out / "weights.sssmw", arrays)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                         "--iterations", "4", "--seed", "1")
+        assert result.returncode == 1
+        assert "weights.sssmw" in result.stderr and "__iteration__" in result.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestInferEvalFlow:
@@ -274,3 +304,12 @@ class TestGradcheck:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "pipeline" in result.stdout
         assert "FAIL" not in result.stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    # --single-thread pins BLAS through the environment after argument
+    # parsing, which works only if importing the CLI has not loaded numpy.
+    code = "import sys, sssm.cli; print(sorted(m for m in ('numpy', 'sssm.autodiff') if m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -227,13 +227,42 @@ class TestCheckpoint:
             "feat/l01/w": rng.standard_normal((3, 3, 3, 8)).astype(np.float32),
             "feat/l01/b": np.zeros(8, dtype=np.float32),
             "scalar": np.float32(4.25).reshape(()),
+            "__iteration__": np.array([2 ** 53 + 1], dtype=np.int64),
         }
         checkpoint.save_arrays(path, arrays)
         back = checkpoint.load_arrays(path)
         assert list(back) == list(arrays)
         for name in arrays:
-            assert back[name].dtype == np.float32
+            assert back[name].dtype == arrays[name].dtype
             np.testing.assert_array_equal(back[name], arrays[name])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.float16, np.bool_])
+    def test_other_dtypes_refused_at_save(self, tmp_path, dtype):
+        path = tmp_path / "w.bin"
+        with pytest.raises(ValueError, match=r"w\.bin: record 'y' has dtype .*float32 and int64 only"):
+            checkpoint.save_arrays(path, {"x": np.ones(2, np.float32), "y": np.ones(2, dtype)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_dtype_tag_refused(self, tmp_path):
+        path = tmp_path / "w.bin"
+        checkpoint.save_arrays(path, {"x": np.ones(2, dtype=np.float32)})
+        data = bytearray(path.read_bytes())
+        tag_at = len(checkpoint.MAGIC) + 4 + 1  # after the name length and "x"
+        assert data[tag_at:tag_at + 1] == b"f"
+        data[tag_at] = ord("d")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"w\.bin: record 'x' has unknown dtype tag b'd' at byte {tag_at}"):
+            checkpoint.load_arrays(path)
+
+    def test_undecodable_name_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "w.bin"
+        checkpoint.save_arrays(path, {"x": np.ones(2, dtype=np.float32)})
+        data = bytearray(path.read_bytes())
+        name_at = len(checkpoint.MAGIC) + 4
+        data[name_at] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"w\.bin: record name at byte {name_at} is not utf-8"):
+            checkpoint.load_arrays(path)
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         a = tmp_path / "a.bin"
@@ -247,6 +276,9 @@ class TestCheckpoint:
         path = tmp_path / "w.bin"
         path.write_bytes(b"NOTAMAGIC")
         with pytest.raises(ValueError, match="magic"):
+            checkpoint.load_arrays(path)
+        path.write_bytes(b"SSSMW1\n")  # the float32-only format before dtype tags
+        with pytest.raises(ValueError, match="bad magic b'SSSMW1"):
             checkpoint.load_arrays(path)
 
     def test_truncation_reports_position(self, tmp_path):

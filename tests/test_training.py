@@ -19,11 +19,9 @@ from sssm.training import (
     TrainConfig,
     default_margin,
     infer,
-    load_optimizer,
-    load_weights,
+    load_checkpoint,
     online_adapt,
-    save_optimizer,
-    save_weights,
+    save_checkpoint,
     train_from_scratch,
     train_step,
 )
@@ -107,42 +105,50 @@ class TestOptimizerStep:
             np.testing.assert_array_equal(t.data, before[n])
 
 
+def _save(path, weights, **records):
+    """A checkpoint of ``weights`` and a fresh optimizer, with some records
+    replaced (None drops one)."""
+    save_checkpoint(path, weights, OptimizerState.fresh(weights))
+    arrays = {**checkpoint.load_arrays(path), **records}
+    checkpoint.save_arrays(path, {n: a for n, a in arrays.items() if a is not None})
+
+
 class TestCheckpointIo:
     def test_weights_round_trip(self, tmp_path):
         weights = init_weights(MICRO, seed=3)
         path = tmp_path / "w.bin"
-        save_weights(path, weights)
+        save_checkpoint(path, weights, OptimizerState.fresh(weights))
         other = init_weights(MICRO, seed=9)
-        load_weights(path, other)
+        load_checkpoint(path, other)
         for n, t in weights.named().items():
             np.testing.assert_array_equal(other.named()[n].data, t.data)
 
     def test_load_rejects_wrong_architecture(self, tmp_path):
         path = tmp_path / "w.bin"
-        save_weights(path, init_weights(MICRO, seed=0))
+        _save(path, init_weights(MICRO, seed=0))
         bigger = init_weights(NetConfig.toy(), seed=0)
-        with pytest.raises(ValueError, match="do not match"):
-            load_weights(path, bigger)
+        with pytest.raises(ValueError, match=r"w\.bin: records do not match"):
+            load_checkpoint(path, bigger)
 
     def test_load_rejects_wrong_shape(self, tmp_path):
         path = tmp_path / "w.bin"
-        save_weights(path, init_weights(MICRO, seed=0))
+        _save(path, init_weights(MICRO, seed=0))
         fatter = init_weights(
             NetConfig(feature_layers=3, feature_dim=8, skip_every=3,
                       disparity_range=4, restdm_scales=2), seed=0)
         with pytest.raises(ValueError):
-            load_weights(path, fatter)
+            load_checkpoint(path, fatter)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_load_rejects_non_finite_weights_before_assigning(self, tmp_path, bad):
         weights = init_weights(MICRO, seed=3)
-        arrays = {n: t.data.copy() for n, t in weights.named().items()}
-        arrays["tdm/dc2/b"][0] = bad  # the last record: every other one is fine
-        checkpoint.save_arrays(tmp_path / "w.bin", arrays)
+        value = weights.named()["tdm/dc2/b"].data.copy()
+        value[0] = bad  # the last weight record: every other one is fine
+        _save(tmp_path / "w.bin", weights, **{"tdm/dc2/b": value})
         other = init_weights(MICRO, seed=9)
         before = {n: t.data.copy() for n, t in other.named().items()}
         with pytest.raises(ValueError, match=r"w\.bin: tdm/dc2/b .*non-finite"):
-            load_weights(tmp_path / "w.bin", other)
+            load_checkpoint(tmp_path / "w.bin", other)
         for n, t in other.named().items():
             np.testing.assert_array_equal(t.data, before[n])
 
@@ -153,75 +159,107 @@ class TestCheckpointIo:
         for a in opt.acc.values():
             a += rng.random(a.shape).astype(np.float32)
         opt.iteration = 42
-        path = tmp_path / "w.opt"
-        save_optimizer(path, opt)
-        back = load_optimizer(path, weights)
+        path = tmp_path / "w.bin"
+        save_checkpoint(path, weights, opt)
+        back = load_checkpoint(path, weights)
         assert back.iteration == 42
+        assert list(back.acc) == list(opt.acc)
         for n in opt.acc:
             np.testing.assert_array_equal(back.acc[n], opt.acc[n])
 
-    def test_optimizer_refuses_iteration_float32_cannot_hold(self, tmp_path):
+    def test_iteration_past_float32_round_trips(self, tmp_path):
         weights = init_weights(MICRO, seed=0)
         opt = OptimizerState.fresh(weights)
-        opt.iteration = 2 ** 24
-        save_optimizer(tmp_path / "last.opt", opt)
-        assert load_optimizer(tmp_path / "last.opt", weights).iteration == 2 ** 24
-        opt.iteration = 2 ** 24 + 1
-        with pytest.raises(ValueError, match=r"2\^24"):
-            save_optimizer(tmp_path / "over.opt", opt)
-        assert not (tmp_path / "over.opt").exists()
+        opt.iteration = 2 ** 24 + 1  # the first integer float32 cannot hold
+        save_checkpoint(tmp_path / "w.bin", weights, opt)
+        assert load_checkpoint(tmp_path / "w.bin", weights).iteration == 2 ** 24 + 1
 
     def test_optimizer_rejects_mismatched_params(self, tmp_path):
+        # a weights-only container, as a foreign or partial file would be
         weights = init_weights(MICRO, seed=0)
-        path = tmp_path / "w.opt"
-        save_optimizer(path, OptimizerState.fresh(weights))
-        other = init_weights(NetConfig.toy(), seed=0)
-        with pytest.raises(ValueError, match="optimizer state"):
-            load_optimizer(path, other)
+        path = tmp_path / "w.bin"
+        checkpoint.save_arrays(path, {n: t.data for n, t in weights.named().items()})
+        with pytest.raises(ValueError, match=r"w\.bin: .*first missing rmsprop/feat/l01/w"):
+            load_checkpoint(path, weights)
 
     def test_optimizer_without_iteration_names_the_file(self, tmp_path):
         weights = init_weights(MICRO, seed=0)
-        path = tmp_path / "w.opt"
-        save_weights(path, weights)  # parameter arrays only, no counter
-        with pytest.raises(ValueError, match=r"w\.opt: .*__iteration__"):
-            load_optimizer(path, weights)
+        _save(tmp_path / "w.bin", weights, __iteration__=None)
+        with pytest.raises(ValueError, match=r"w\.bin: .*__iteration__"):
+            load_checkpoint(tmp_path / "w.bin", weights)
 
-    @pytest.mark.parametrize("counter", [[np.nan], [-1.0], [3.5], [np.inf], [], [2.0, 3.0]],
-                             ids=["nan", "negative", "fractional", "inf", "empty", "two"])
+    @pytest.mark.parametrize("counter", [np.array([np.nan], np.float32), np.array([-1], np.int64),
+                                         np.array([3.5], np.float32),
+                                         np.array([np.inf], np.float32), np.array([], np.int64),
+                                         np.array([2, 3], np.int64), np.array([2.0], np.float32)],
+                             ids=["nan", "negative", "fractional", "inf", "empty", "two", "float32"])
     def test_optimizer_with_a_bad_iteration_names_the_file(self, tmp_path, counter):
         weights = init_weights(MICRO, seed=0)
-        arrays = dict(OptimizerState.fresh(weights).acc)
-        arrays["__iteration__"] = np.array(counter, dtype=np.float32)
-        checkpoint.save_arrays(tmp_path / "w.opt", arrays)
-        with pytest.raises(ValueError, match=r"w\.opt: .*__iteration__"):
-            load_optimizer(tmp_path / "w.opt", weights)
+        _save(tmp_path / "w.bin", weights, __iteration__=counter)
+        with pytest.raises(ValueError, match=r"w\.bin: __iteration__ .*not one non-negative integer"):
+            load_checkpoint(tmp_path / "w.bin", weights)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
     def test_optimizer_with_an_impossible_accumulator_names_it(self, tmp_path, bad):
         weights = init_weights(MICRO, seed=0)
         opt = OptimizerState.fresh(weights)
         opt.acc["tdm/dc1/b"][0] = bad
-        save_optimizer(tmp_path / "w.opt", opt)
-        with pytest.raises(ValueError, match=r"w\.opt: .*tdm/dc1/b .*finite and >= 0"):
-            load_optimizer(tmp_path / "w.opt", weights)
+        save_checkpoint(tmp_path / "w.bin", weights, opt)
+        with pytest.raises(ValueError, match=r"w\.bin: rmsprop/tdm/dc1/b .*finite and >= 0"):
+            load_checkpoint(tmp_path / "w.bin", weights)
 
     def test_optimizer_with_other_shapes_names_the_parameter(self, tmp_path):
-        # same layer names, another feature_dim: every accumulator is misshapen
+        # same layer names, another feature_dim: every record is misshapen
         weights = init_weights(MICRO, seed=0)
-        path = tmp_path / "w.opt"
-        save_optimizer(path, OptimizerState.fresh(weights))
+        _save(tmp_path / "w.bin", weights)
         wider = init_weights(dataclasses.replace(MICRO, feature_dim=8), seed=0)
         assert list(wider.named()) == list(weights.named())
-        with pytest.raises(ValueError, match=r"w\.opt: .*feat/l01/w .*\(3, 3, 3, 4\).*\(3, 3, 3, 8\)"):
-            load_optimizer(path, wider)
+        with pytest.raises(ValueError, match=r"w\.bin: feat/l01/w .*\(3, 3, 3, 4\).*\(3, 3, 3, 8\)"):
+            load_checkpoint(tmp_path / "w.bin", wider)
+        # right weights, one misshapen accumulator
+        _save(tmp_path / "w.bin", weights, **{"rmsprop/feat/l01/b": np.zeros(3, np.float32)})
+        with pytest.raises(ValueError, match=r"w\.bin: rmsprop/feat/l01/b .*\(3,\).*\(4,\)"):
+            load_checkpoint(tmp_path / "w.bin", weights)
+
+    def test_weight_of_another_dtype_is_refused(self, tmp_path):
+        weights = init_weights(MICRO, seed=0)
+        value = weights.named()["feat/l01/b"].data.astype(np.int64)
+        _save(tmp_path / "w.bin", weights, **{"feat/l01/b": value})
+        with pytest.raises(ValueError, match=r"w\.bin: feat/l01/b .*int64.*float32"):
+            load_checkpoint(tmp_path / "w.bin", weights)
 
     def test_optimizer_with_an_extra_accumulator_names_it(self, tmp_path):
         weights = init_weights(MICRO, seed=0)
         opt = OptimizerState.fresh(weights)
         opt.acc["feat/l99/w"] = np.zeros(3, np.float32)
-        save_optimizer(tmp_path / "w.opt", opt)
-        with pytest.raises(ValueError, match=r"w\.opt: .*feat/l99/w"):
-            load_optimizer(tmp_path / "w.opt", weights)
+        save_checkpoint(tmp_path / "w.bin", weights, opt)
+        with pytest.raises(ValueError, match=r"w\.bin: .*first unexpected rmsprop/feat/l99/w"):
+            load_checkpoint(tmp_path / "w.bin", weights)
+
+    def test_truncation_anywhere_is_refused_before_assigning(self, tmp_path):
+        weights = init_weights(MICRO, seed=3)
+        opt = OptimizerState.fresh(weights)
+        opt.iteration = 7
+        save_checkpoint(tmp_path / "w.bin", weights, opt)
+        data = (tmp_path / "w.bin").read_bytes()
+        # Record boundaries are the sizes of containers holding the first k records.
+        records = checkpoint.load_arrays(tmp_path / "w.bin")
+        bounds = []
+        for k in range(len(records) + 1):
+            checkpoint.save_arrays(tmp_path / "prefix.bin", dict(list(records.items())[:k]))
+            bounds.append((tmp_path / "prefix.bin").stat().st_size)
+        assert bounds[-1] == len(data)
+        cuts = set(bounds[:-1])
+        for a, b in zip(bounds, bounds[1:]):
+            cuts.update((a + 1, a + 4, a + 5, (a + b) // 2, b - 1))
+        other = init_weights(MICRO, seed=9)
+        before = {n: t.data.copy() for n, t in other.named().items()}
+        for cut in sorted(cuts):
+            (tmp_path / "cut.bin").write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=r"cut\.bin: "):
+                load_checkpoint(tmp_path / "cut.bin", other)
+        for n, t in other.named().items():
+            np.testing.assert_array_equal(t.data, before[n])
 
 
 class TestTrainStep:
@@ -338,7 +376,7 @@ class TestTrainFromScratch:
 
         # One uninterrupted 4-iteration run.
         w_full = init_weights(MICRO, seed=2)
-        train_from_scratch(pairs, w_full, _micro_cfg(max_iterations=4, seed=5))
+        opt_full, _ = train_from_scratch(pairs, w_full, _micro_cfg(max_iterations=4, seed=5))
 
         # Two iterations, checkpoint, reload into fresh objects, two more.
         ckpt = tmp_path / "w.bin"
@@ -346,13 +384,13 @@ class TestTrainFromScratch:
         train_from_scratch(pairs, w_a, _micro_cfg(max_iterations=2, seed=5),
                            checkpoint_path=ckpt)
         w_b = init_weights(MICRO, seed=99)
-        load_weights(ckpt, w_b)
-        opt_b = load_optimizer(str(ckpt) + ".opt", w_b)
+        opt_b = load_checkpoint(ckpt, w_b)
         assert opt_b.iteration == 2
-        train_from_scratch(pairs, w_b, _micro_cfg(max_iterations=4, seed=5), opt=opt_b)
+        train_from_scratch(pairs, w_b, _micro_cfg(max_iterations=4, seed=5), opt=opt_b,
+                           checkpoint_path=ckpt)
 
-        for n, t in w_full.named().items():
-            np.testing.assert_array_equal(w_b.named()[n].data, t.data)
+        save_checkpoint(tmp_path / "full.bin", w_full, opt_full)
+        assert ckpt.read_bytes() == (tmp_path / "full.bin").read_bytes()
 
     def test_periodic_checkpointing(self, tmp_path):
         ckpt = tmp_path / "w.bin"
@@ -360,9 +398,8 @@ class TestTrainFromScratch:
         train_from_scratch(_micro_pairs(), weights,
                            _micro_cfg(max_iterations=3, checkpoint_every=2),
                            checkpoint_path=ckpt)
-        assert ckpt.exists()
-        assert (tmp_path / "w.bin.opt").exists()
-        assert load_optimizer(str(ckpt) + ".opt", weights).iteration == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.bin"]
+        assert load_checkpoint(ckpt, weights).iteration == 3
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
