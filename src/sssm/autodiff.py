@@ -303,15 +303,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return make_op(out_data, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    sa = sink(a)
-
-    def bwd(g):
-        accumulate(sa, -g)
-
-    return make_op(-a.data, (a,), bwd)
-
-
 def abs_(a: Tensor) -> Tensor:
     """Elementwise absolute value; the subgradient at 0 is 0."""
     sa, a_data = sink(a), a.data
@@ -401,6 +392,7 @@ def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    """A view of ``a`` in a new shape; no op output is changed in place, so it is not copied."""
     shape = tuple(int(s) for s in shape)
     old = a.data.shape
     sa = sink(a)
@@ -408,7 +400,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         accumulate(sa, g.reshape(old))
 
-    return make_op(a.data.reshape(shape).copy(), (a,), bwd)
+    return make_op(a.data.reshape(shape), (a,), bwd)
 
 
 def crop(a: Tensor, bounds) -> Tensor:
@@ -446,6 +438,9 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 _AXIS_BY_NAME = {"u": 1, "v": 0}
+# (offset, coefficient) taps of each order's stencil, offsets relative to
+# the output line
+_STENCILS = {1: ((1, 1.0), (0, -1.0)), 2: ((1, 1.0), (0, -2.0), (-1, 1.0))}
 
 
 def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
@@ -457,7 +452,7 @@ def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
     """
     if axis not in _AXIS_BY_NAME:
         raise ValueError(f"spatial_gradients: axis must be 'u' or 'v', got {axis!r}")
-    if order not in (1, 2):
+    if order not in _STENCILS:
         raise ValueError(f"spatial_gradients: order must be 1 or 2, got {order}")
     if a.data.ndim not in (2, 3):
         raise ValueError(f"spatial_gradients: expected 2D or 3D tensor, got shape {a.data.shape}")
@@ -466,36 +461,27 @@ def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
     if n < order + 1:
         raise ValueError(f"spatial_gradients: extent {n} too small for order {order}")
     shape, dtype = a.data.shape, a.data.dtype
+    taps, lo, m = _STENCILS[order], order - 1, n - order
     sa = sink(a)
 
-    def sl(s):
+    def lines(arr, offset):
+        """The m lines of ``arr`` that tap ``offset`` meets for output lines lo..lo+m."""
         idx = [slice(None)] * len(shape)
-        idx[ax] = s
-        return tuple(idx)
+        idx[ax] = slice(lo + offset, lo + offset + m)
+        return arr[tuple(idx)]
 
     out_data = np.zeros_like(a.data)
-    if order == 1:
-        out_data[sl(slice(0, n - 1))] = a.data[sl(slice(1, n))] - a.data[sl(slice(0, n - 1))]
+    inner = lines(out_data, 0)
+    inner.fill(-0.0)  # -0.0 + x is x for every x, signed zeros included
+    for offset, coef in taps:
+        inner += lines(a.data, offset) * coef
 
-        def bwd(g):
-            gi = g[sl(slice(0, n - 1))]
-            gx = np.zeros(shape, dtype=dtype)
-            gx[sl(slice(1, n))] += gi
-            gx[sl(slice(0, n - 1))] -= gi
-            accumulate(sa, gx)
-
-    else:
-        out_data[sl(slice(1, n - 1))] = (
-            a.data[sl(slice(2, n))] - 2 * a.data[sl(slice(1, n - 1))] + a.data[sl(slice(0, n - 2))]
-        )
-
-        def bwd(g):
-            gi = g[sl(slice(1, n - 1))]
-            gx = np.zeros(shape, dtype=dtype)
-            gx[sl(slice(2, n))] += gi
-            gx[sl(slice(1, n - 1))] -= 2 * gi
-            gx[sl(slice(0, n - 2))] += gi
-            accumulate(sa, gx)
+    def bwd(g):
+        gi = lines(g, 0)
+        gx = np.zeros(shape, dtype=dtype)
+        for offset, coef in taps:
+            lines(gx, offset)[...] += gi * coef
+        accumulate(sa, gx)
 
     return make_op(out_data, (a,), bwd)
 

@@ -118,7 +118,7 @@ def _cmd_train(args) -> int:
     from .config import format_run_config
     from .data import DatasetManifest
     from .network import init_weights
-    from .training import load_checkpoint, train_from_scratch
+    from .training import _log_prefix, load_checkpoint, train_from_scratch
 
     cfg = _load_config(args)
     if args.iterations is not None:
@@ -131,13 +131,16 @@ def _cmd_train(args) -> int:
         opt = load_checkpoint(ckpt, weights)
         logging.getLogger(__name__).info("resuming from %s", ckpt)
     pairs = DatasetManifest.load(args.manifest).load_all()
-    # Nothing is written before the resume and the dataset have loaded.
+    log_path = out / "loss_log.csv"
+    if opt is not None and opt.iteration and log_path.is_file():
+        _log_prefix(log_path, opt.iteration)  # refuses a foreign header
+    # Nothing is written before the resume, the dataset and the log have been checked.
     out.mkdir(parents=True, exist_ok=True)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     (out / "run_config.txt").write_text(format_run_config(cfg))
     opt, _ = train_from_scratch(
         pairs, weights, cfg.train, cfg.loss, opt=opt, margin=_margin(cfg),
-        log_path=out / "loss_log.csv", checkpoint_path=ckpt,
+        log_path=log_path, checkpoint_path=ckpt,
     )
     print(f"trained to iteration {opt.iteration}; weights at {ckpt}")
     return 0

@@ -33,6 +33,10 @@ class RunConfig:
     loss: LossWeights
     border_margin: int | None = None
 
+    def __post_init__(self):
+        if self.border_margin is not None and self.border_margin < 0:
+            raise ValueError(f"border_margin must be >= 0, got {self.border_margin}")
+
     @classmethod
     def default(cls) -> "RunConfig":
         return cls(net=NetConfig(), train=TrainConfig(), loss=LossWeights())

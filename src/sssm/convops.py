@@ -324,6 +324,8 @@ def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"deconv3d: input has {y.data.shape[-1]} channels, kernel expects {cout}")
     if bias.data.shape != (cin,):
         raise ValueError(f"deconv3d: bias shape {bias.data.shape} != ({cin},)")
+    if y.data.dtype != kernel.data.dtype:
+        raise ValueError(f"deconv3d: dtype mismatch {y.data.dtype} vs {kernel.data.dtype}")
     grid = _grid(tuple(2 * n for n in y.data.shape[:3]), k, 2)
     w = kernel.data.reshape(k ** 3, cin, cout)
     out_data = grid.unphase(_correlate_input(grid.embed(y.data), w, grid))

@@ -134,8 +134,6 @@ def _elementwise_checks(seed):
     b = Tensor(rng.uniform(0.5, 1.5, size=(4, 5)) * np.where(rng.uniform(size=(4, 5)) < 0.5, -1, 1),
                requires_grad=True, dtype=np.float64)
     binary("div", ad.div, a, b)
-    x = _t(rng, 3, 4)
-    checks.append(("neg", lambda x=x: _project(ad.neg(x)), [x]))
     x = _away_from_zero(rng, 3, 4)
     checks.append(("abs", lambda x=x: _project(ad.abs_(x)), [x]))
     x = _t(rng, 3, 4)

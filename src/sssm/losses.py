@@ -199,7 +199,7 @@ def _masked_mean(t: Tensor, side: str, margin: int) -> Tensor:
 def unary_loss(observed: Tensor, reconstructed: Tensor, weights: LossWeights,
                side: str = "l", margin: int = 0) -> Tensor:
     """Appearance mismatch: SSIM + absolute difference + gradient difference."""
-    s = ad.scale(ad.add_scalar(ad.neg(ssim(observed, reconstructed)), 1.0), 0.5)
+    s = ad.scale(ad.add_scalar(ad.scale(ssim(observed, reconstructed), -1.0), 1.0), 0.5)
     l1 = ad.abs_(ad.sub(observed, reconstructed))
     grads = None
     for axis in ("u", "v"):
@@ -227,7 +227,7 @@ def smoothness_loss(disparity: Tensor, image: Tensor, side: str = "l", margin: i
     pixel = None
     for axis in ("u", "v"):
         curvature = ad.abs_(ad.spatial_gradients(disparity, 2, axis))
-        edge = ad.exp(ad.neg(ad.abs_(ad.spatial_gradients(gray, 2, axis))))
+        edge = ad.exp(ad.scale(ad.abs_(ad.spatial_gradients(gray, 2, axis)), -1.0))
         term = ad.mul(curvature, edge)
         pixel = term if pixel is None else ad.add(pixel, term)
     return _masked_mean(pixel, side, margin)

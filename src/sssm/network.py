@@ -378,7 +378,7 @@ def soft_argmin(costs: Tensor) -> Tensor:
     """
     if costs.data.ndim != 3:
         raise ValueError(f"soft_argmin: expected (H, W, D+1) costs, got shape {costs.data.shape}")
-    p = ad.softmax(ad.neg(costs), axis=2)
+    p = ad.softmax(ad.scale(costs, -1.0), axis=2)
     idx = Tensor(np.broadcast_to(np.arange(costs.data.shape[2], dtype=costs.data.dtype), costs.data.shape))
     return ad.sum_reduce(ad.mul(p, idx), axis=2)
 

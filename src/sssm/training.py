@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -218,12 +218,6 @@ def _crop_pair(pair: StereoPair, rng: np.random.Generator, ch: int, cw: int):
     )
 
 
-def _format_row(row: dict) -> str:
-    return ",".join(
-        str(row[c]) if c == "iteration" else repr(float(row[c])) for c in LOG_COLUMNS
-    )
-
-
 def _log_prefix(path: Path, iteration: int) -> int:
     """Bytes of an existing loss log up to its first row at or past ``iteration``.
 
@@ -250,11 +244,10 @@ class LossLog:
 
     With ``resume_at`` k > 0 an existing file is continued: its rows below
     iteration k are kept, later ones are dropped, and new rows append.
-    ``rows`` holds only the rows this writer appended.
+    Rows live only in the file: ``LossLog(None)`` writes and keeps nothing.
     """
 
     def __init__(self, path=None, resume_at: int = 0):
-        self.rows: list[dict] = []
         self._fh = None
         if path is not None:
             path = Path(path)
@@ -268,13 +261,11 @@ class LossLog:
             self._fh.flush()
 
     def record(self, iteration: int, lr: float, report: LossReport, warp_error: float) -> None:
-        """Log one train or adapt step."""
-        self.append({"iteration": iteration, "lr": lr, **asdict(report), "warp_error": warp_error})
-
-    def append(self, row: dict) -> None:
-        self.rows.append(row)
+        """Write one train or adapt step as a row of ``LOG_COLUMNS``."""
         if self._fh is not None:
-            self._fh.write(_format_row(row) + "\n")
+            terms = (getattr(report, c) for c in LOG_COLUMNS[2:-1])
+            floats = (repr(float(v)) for v in (lr, *terms, warp_error))
+            self._fh.write(",".join((str(iteration), *floats)) + "\n")
             self._fh.flush()
 
     def close(self) -> None:

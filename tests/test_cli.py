@@ -218,6 +218,33 @@ class TestTrainFlow:
         assert "weights.sssmw" in result.stderr and "__iteration__" in result.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_foreign_log_header_exits_1_before_writing(self, micro_env, tmp_path):
+        # The header is checked before run_config.txt is rewritten for the resume.
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("loss_log.csv", "run_config.txt", "weights.sssmw"):
+            (out / name).write_bytes((micro_env / "run" / name).read_bytes())
+        log = (out / "loss_log.csv").read_text()
+        (out / "loss_log.csv").write_text(log.replace("warp_error", "warp_err", 1))
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text(MICRO_CFG + "learning_rate = 0.5\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(cfg), "--iterations", "4", "--seed", "0")
+        assert result.returncode == 1
+        assert "loss_log.csv" in result.stderr and "header" in result.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_negative_border_margin_exits_1_before_writing(self, micro_env, tmp_path):
+        cfg = tmp_path / "margin.cfg"
+        cfg.write_text(MICRO_CFG + "border_margin = -3\n")
+        out = tmp_path / "out"
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(cfg), "--seed", "0")
+        assert result.returncode == 1
+        assert "border_margin" in result.stderr
+        assert not out.exists()
+
 
 class TestInferEvalFlow:
     def test_infer_writes_predictions(self, micro_env):

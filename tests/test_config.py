@@ -89,6 +89,7 @@ class TestParse:
         "checkpoint_every = -5",
         "w_photo = nan",
         "lam_ssim = inf",
+        "border_margin = -3",
     ])
     def test_value_that_cannot_run_is_rejected_naming_the_field(self, line):
         field = line.split(" = ")[0]

@@ -234,6 +234,11 @@ class TestDeconv3d:
             deconv3d(t64(np.zeros((2, 2, 2, 4))), t64(np.zeros((3, 3, 3, 2, 6))),
                      t64(np.zeros(2)))
 
+    def test_rejects_dtype_mismatch(self):
+        w, b = (Tensor(np.zeros(s, np.float32)) for s in ((3, 3, 3, 2, 1), (2,)))
+        with pytest.raises(ValueError, match="deconv3d: dtype mismatch float64 vs float32"):
+            deconv3d(t64(np.zeros((2, 2, 2, 1))), w, b)
+
 
 class TestRowBlocks:
     """The oracles above, with the per-tap loops under a 7-row block: every

@@ -1,6 +1,7 @@
 """Optimiser mechanics, determinism, checkpoint resume, and adaptation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,13 +341,11 @@ class TestTrainFromScratch:
         weights = init_weights(MICRO, seed=0)
         cfg = _micro_cfg(max_iterations=4)
         log_path = tmp_path / "loss.csv"
-        opt, logger = train_from_scratch(_micro_pairs(), weights, cfg, log_path=log_path)
+        opt, _ = train_from_scratch(_micro_pairs(), weights, cfg, log_path=log_path)
         assert opt.iteration == 4
-        assert len(logger.rows) == 4
-        assert [r["iteration"] for r in logger.rows] == [0, 1, 2, 3]
         lines = log_path.read_text().splitlines()
         assert lines[0] == ",".join(LOG_COLUMNS)
-        assert len(lines) == 5
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
 
     def test_same_seed_is_bitwise_identical(self, tmp_path):
         logs = []
@@ -362,13 +361,15 @@ class TestTrainFromScratch:
         for n in finals[0]:
             np.testing.assert_array_equal(finals[0][n], finals[1][n])
 
-    def test_different_seed_differs(self):
+    def test_different_seed_differs(self, tmp_path):
         totals = []
         for seed in (0, 1):
             weights = init_weights(MICRO, seed=7)
-            _, logger = train_from_scratch(_micro_pairs(), weights,
-                                           _micro_cfg(max_iterations=2, seed=seed))
-            totals.append([r["total"] for r in logger.rows])
+            path = tmp_path / f"{seed}.csv"
+            train_from_scratch(_micro_pairs(), weights, _micro_cfg(max_iterations=2, seed=seed),
+                               log_path=path)
+            totals.append([line.split(",")[2] for line in path.read_text().splitlines()[1:]])
+        assert len(totals[0]) == 2
         assert totals[0] != totals[1]
 
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -528,33 +529,52 @@ class TestOnlineAdapt:
 
 
 class TestLossLog:
+    @staticmethod
+    def _report(start=0.5, step=1.0):
+        return LossReport(*(start + i * step for i in range(len(dataclasses.fields(LossReport)))))
+
     def test_rows_round_trip_through_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         log = LossLog(path)
-        row = {c: (3 if c == "iteration" else 0.1 + i * 0.3)
-               for i, c in enumerate(LOG_COLUMNS)}
-        log.append(row)
+        report = self._report(0.7, 0.3)
+        log.record(3, 0.1, report, 1 / 3)
         log.close()
         header, line = path.read_text().splitlines()
         assert header.split(",") == list(LOG_COLUMNS)
         fields = line.split(",")
         assert int(fields[0]) == 3
-        for c, field in zip(LOG_COLUMNS[1:], fields[1:]):
-            assert float(field) == row[c]
+        assert [float(f) for f in fields[1:]] == [0.1, *dataclasses.astuple(report), 1 / 3]
 
-    def test_record_fills_every_column(self):
-        log = LossLog(None)
-        report = LossReport(*(0.5 + i for i in range(len(dataclasses.fields(LossReport)))))
+    def test_record_fills_every_column(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        log = LossLog(path)
+        report = self._report()
         log.record(7, 0.001, report, 0.25)
-        assert log.rows == [{"iteration": 7, "lr": 0.001, "total": 0.5, **report.terms(),
-                             "warp_error": 0.25}]
-        assert list(log.rows[0]) == list(LOG_COLUMNS)
-
-    def test_memory_only_mode(self):
-        log = LossLog(None)
-        log.append({c: 0.0 for c in LOG_COLUMNS})
         log.close()
-        assert len(log.rows) == 1
+        header, line = path.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert list(row) == list(LOG_COLUMNS)
+        assert row == {"iteration": "7", "lr": "0.001", "total": "0.5",
+                       **{k: repr(v) for k, v in report.terms().items()}, "warp_error": "0.25"}
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "none"])
+    def test_memory_stays_flat_over_many_records(self, tmp_path, to_file):
+        # An online-adaptation stream is open-ended: rows go to the file only.
+        log = LossLog(tmp_path / "loss.csv" if to_file else None)
+        report = self._report()
+        log.record(0, 0.001, report, 0.25)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1, 10_001):
+                log.record(i, 0.001, report, 0.25)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            log.close()
+        assert grown < 64 * 1024
+        if to_file:
+            assert len((tmp_path / "loss.csv").read_text().splitlines()) == 1 + 10_001
 
     @staticmethod
     def _row(iteration):
@@ -567,12 +587,12 @@ class TestLossLog:
         header = ",".join(LOG_COLUMNS) + "\n"
         path.write_text(header + "".join(self._row(i) for i in range(5)) + "5,0.")
         log = LossLog(path, resume_at=3)
-        log.append({c: (3 if c == "iteration" else 0.25) for c in LOG_COLUMNS})
+        log.record(3, 0.25, self._report(0.25, 0.0), 0.25)
         log.close()
         lines = path.read_text().splitlines(keepends=True)
         assert lines[:4] == [header] + [self._row(i) for i in range(3)]
-        assert lines[4].startswith("3,0.25,") and len(lines) == 5
-        assert len(log.rows) == 1
+        assert lines[4] == ",".join(["3"] + ["0.25"] * (len(LOG_COLUMNS) - 1)) + "\n"
+        assert len(lines) == 5
 
     def test_resume_drops_a_cut_short_row(self, tmp_path):
         path = tmp_path / "loss.csv"
