@@ -209,39 +209,6 @@ def backward(loss: Tensor) -> None:
             node.grad, node.bwd, node.parents = None, _freed, ()
 
 
-class Tape:
-    """Named parameter registry with a convenience backward pass.
-
-    Parameter iteration order is insertion order, which fixes both the
-    checkpoint record order and the optimizer update order.
-    """
-
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-
-    def parameter(self, name: str, data, dtype=None) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True, dtype=dtype)
-        self.params[name] = t
-        return t
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
-
-    def backward(self, loss: Tensor) -> None:
-        """Backprop and guarantee every parameter ends up with a gradient.
-
-        Parameters unreachable from the loss get explicit zeros so the
-        optimizer update is uniform.
-        """
-        backward(loss)
-        for t in self.params.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-
-
 def _check_same(a: Tensor, b: Tensor, opname: str) -> None:
     if a.data.shape != b.data.shape:
         raise ValueError(f"{opname}: shape mismatch {a.data.shape} vs {b.data.shape}")

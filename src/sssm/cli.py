@@ -118,11 +118,12 @@ def _cmd_train(args) -> int:
     from .config import format_run_config
     from .data import DatasetManifest
     from .network import init_weights
-    from .training import _log_prefix, load_checkpoint, train_from_scratch
+    from .training import _log_prefix, check_crop, load_checkpoint, train_from_scratch
 
     cfg = _load_config(args)
     if args.iterations is not None:
         cfg = replace(cfg, train=replace(cfg.train, max_iterations=args.iterations))
+    check_crop(cfg.net, cfg.train, _margin(cfg))
     out = Path(args.out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "weights.sssmw"
     weights = init_weights(cfg.net, seed=cfg.train.seed)
@@ -134,7 +135,7 @@ def _cmd_train(args) -> int:
     log_path = out / "loss_log.csv"
     if opt is not None and opt.iteration and log_path.is_file():
         _log_prefix(log_path, opt.iteration)  # refuses a foreign header
-    # Nothing is written before the resume, the dataset and the log have been checked.
+    # Nothing is written before the crop, the resume, the dataset and the log have been checked.
     out.mkdir(parents=True, exist_ok=True)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     (out / "run_config.txt").write_text(format_run_config(cfg))

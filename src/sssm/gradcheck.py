@@ -277,7 +277,7 @@ def _pipeline_check(seed):
     # a receptive field is fully inactive, so central differences would
     # measure a one-sided slope there.  Nudge biases off zero for the check.
     bias_rng = np.random.default_rng(seed + 2)
-    for name, t in weights.named().items():
+    for name, t in weights.params.items():
         if name.endswith("/b"):
             t.data += bias_rng.uniform(-0.05, 0.05, size=t.data.shape)
     rng = np.random.default_rng(seed + 1)
@@ -288,17 +288,17 @@ def _pipeline_check(seed):
         d_l, d_r = forward(i_l, i_r, weights)
         return losses.total_loss(i_l, i_r, d_l, d_r, LossWeights(), margin=2)[0]
 
-    return [("pipeline", fn, list(weights.named().values()))]
+    return [("pipeline", fn, list(weights.params.values()))]
 
 
-def run_suite(seed: int = 0, pipeline_coords: int = 8) -> list[CheckResult]:
+def run_suite(seed: int = 0) -> list[CheckResult]:
     """All gradient oracles; deterministic for a given seed."""
     results = []
     groups = [
         (_elementwise_checks(seed), 40),
         (_conv_checks(seed + 100), 40),
         (_stereo_checks(seed + 200), 40),
-        (_pipeline_check(seed + 300), pipeline_coords),
+        (_pipeline_check(seed + 300), 8),
     ]
     for checks, max_coords in groups:
         for name, fn, tensors in checks:

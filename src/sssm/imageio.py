@@ -124,7 +124,7 @@ def write_image(path, image: np.ndarray) -> None:
         f.write(quantised.tobytes())
 
 
-def read_gt_pgm(path, scale: float = GT_SCALE) -> tuple[np.ndarray, np.ndarray]:
+def read_gt_pgm(path) -> tuple[np.ndarray, np.ndarray]:
     """Load 16-bit big-endian PGM ground truth: (disparity f32, valid bool).
 
     Stored zeros mark pixels without ground truth; their disparity reads
@@ -135,12 +135,12 @@ def read_gt_pgm(path, scale: float = GT_SCALE) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(path, f"ground truth must be P5 maxval 65535, got {magic!r} {maxval}", at)
     stored = np.frombuffer(_payload(path, buf, at, 2 * w * h), dtype=">u2").reshape(h, w)
     valid = stored > 0
-    values = (stored.astype(np.float32) / np.float32(scale)) * valid
+    values = (stored.astype(np.float32) / np.float32(GT_SCALE)) * valid
     return values.astype(np.float32), valid
 
 
-def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None, scale: float = GT_SCALE) -> None:
-    """Write disparity as 16-bit big-endian PGM, quantised to 1/scale px.
+def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None) -> None:
+    """Write disparity as 16-bit big-endian PGM, quantised to 1/GT_SCALE px.
 
     Invalid pixels store 0.  Valid disparities that quantise to 0 are
     unrepresentable in this encoding and come back invalid.
@@ -148,7 +148,7 @@ def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None, scal
     if values.ndim != 2:
         raise ValueError(f"write_gt_pgm: expected (H, W) disparity, got shape {values.shape}")
     h, w = values.shape
-    stored = np.rint(values.astype(np.float64) * scale)
+    stored = np.rint(values.astype(np.float64) * GT_SCALE)
     if np.any((stored < 0) | (stored > 65535)):
         raise ValueError("write_gt_pgm: disparity out of encodable range [0, 255.996]")
     stored = stored.astype(np.uint16)

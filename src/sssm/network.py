@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, accumulate, make_op, sink
+from .autodiff import Tensor, accumulate, make_op, sink
 from .convops import channel_sum, conv2d, conv3d, deconv3d
 
 LEFT_TO_RIGHT = "lr"
@@ -68,13 +68,14 @@ class NetConfig:
 
 @dataclass
 class NetworkWeights:
-    """All trainable parameters, registered on one tape in a fixed order."""
+    """All trainable parameters by name, each a leaf Tensor that requires grad.
+
+    Insertion order fixes both the checkpoint record order and the
+    optimizer update order.
+    """
 
     config: NetConfig
-    tape: Tape = field(default_factory=Tape)
-
-    def named(self) -> dict[str, Tensor]:
-        return self.tape.params
+    params: dict[str, Tensor] = field(default_factory=dict)
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -85,26 +86,26 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarr
 def init_weights(config: NetConfig, seed: int = 0, dtype=np.float32) -> NetworkWeights:
     """Seeded fan-in-scaled uniform init; biases start at zero."""
     rng = np.random.default_rng(seed)
-    w = NetworkWeights(config=config)
+    arrays = {}
     k, f = config.kernel, config.feature_dim
     cin = 3
     for j in range(1, config.feature_layers + 1):
         shape = (k, k, cin, f)
-        w.tape.parameter(f"feat/l{j:02d}/w", _he_uniform(rng, shape, k * k * cin, dtype))
-        w.tape.parameter(f"feat/l{j:02d}/b", np.zeros(f, dtype=dtype))
+        arrays[f"feat/l{j:02d}/w"] = _he_uniform(rng, shape, k * k * cin, dtype)
+        arrays[f"feat/l{j:02d}/b"] = np.zeros(f, dtype=dtype)
         cin = f
     cin3 = 2 * f
     for i in range(1, config.restdm_scales + 1):
-        w.tape.parameter(f"tdm/c{i}/w", _he_uniform(rng, (3, 3, 3, cin3, f), 27 * cin3, dtype))
-        w.tape.parameter(f"tdm/c{i}/b", np.zeros(f, dtype=dtype))
+        arrays[f"tdm/c{i}/w"] = _he_uniform(rng, (3, 3, 3, cin3, f), 27 * cin3, dtype)
+        arrays[f"tdm/c{i}/b"] = np.zeros(f, dtype=dtype)
         for half in ("a", "b"):
-            w.tape.parameter(f"tdm/r{i}/{half}/w", _he_uniform(rng, (3, 3, 3, f, f), 27 * f, dtype))
-            w.tape.parameter(f"tdm/r{i}/{half}/b", np.zeros(f, dtype=dtype))
+            arrays[f"tdm/r{i}/{half}/w"] = _he_uniform(rng, (3, 3, 3, f, f), 27 * f, dtype)
+            arrays[f"tdm/r{i}/{half}/b"] = np.zeros(f, dtype=dtype)
         cout = 1 if i == 1 else f
-        w.tape.parameter(f"tdm/dc{i}/w", _he_uniform(rng, (3, 3, 3, cout, f), 27 * f, dtype))
-        w.tape.parameter(f"tdm/dc{i}/b", np.zeros(cout, dtype=dtype))
+        arrays[f"tdm/dc{i}/w"] = _he_uniform(rng, (3, 3, 3, cout, f), 27 * f, dtype)
+        arrays[f"tdm/dc{i}/b"] = np.zeros(cout, dtype=dtype)
         cin3 = f
-    return w
+    return NetworkWeights(config, {n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
 
 
 def extract_features(image: Tensor, weights: NetworkWeights) -> Tensor:
@@ -120,7 +121,7 @@ def extract_features(image: Tensor, weights: NetworkWeights) -> Tensor:
         raise ValueError(
             f"extract_features: image {image.data.shape[:2]} smaller than kernel {cfg.kernel}"
         )
-    params = weights.named()
+    params = weights.params
     x = image
     anchor = None
     for j in range(1, cfg.feature_layers + 1):
@@ -344,7 +345,7 @@ def res_tdm(f_first: Tensor, f_second: Tensor, direction: str, weights: NetworkW
     padded slices included.
     """
     cfg = weights.config
-    params = weights.named()
+    params = weights.params
     dims = f_first.data.shape[:2]
     bad = [n for n in dims if n % cfg.scale_factor]
     if bad:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint
+from . import autodiff, checkpoint
 from .autodiff import Tensor, crop, no_grad
 from .data import StereoPair
 from .losses import LossReport, LossWeights, reconstruction_error, total_loss
@@ -33,6 +33,8 @@ from .network import NetConfig, NetworkWeights, forward
 log = logging.getLogger(__name__)
 
 LOG_COLUMNS = ("iteration", "lr", *(f.name for f in fields(LossReport)), "warp_error")
+RMSPROP_DECAY = 0.9
+RMSPROP_EPS = 1e-8
 
 
 class NonFiniteLossError(RuntimeError):
@@ -95,25 +97,25 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """RMSProp accumulator per parameter plus the global iteration count."""
+    """RMSProp accumulator per parameter (keyed like ``NetworkWeights.params``)
+    plus the global iteration count; the decay and epsilon are the constants
+    ``RMSPROP_DECAY`` and ``RMSPROP_EPS``."""
 
     acc: dict[str, np.ndarray]
     iteration: int = 0
-    decay: float = 0.9
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, weights: NetworkWeights) -> "OptimizerState":
-        return cls(acc={name: np.zeros_like(t.data) for name, t in weights.named().items()})
+        return cls(acc={name: np.zeros_like(t.data) for name, t in weights.params.items()})
 
     def step(self, weights: NetworkWeights, lr: float) -> None:
         """acc <- decay*acc + (1-decay)*g^2;  p <- p - lr * g / sqrt(acc + eps)."""
-        for name, t in weights.named().items():
+        for name, t in weights.params.items():
             g = t.grad
             a = self.acc[name]
-            a *= a.dtype.type(self.decay)
-            a += a.dtype.type(1.0 - self.decay) * g * g
-            t.data -= t.data.dtype.type(lr) * g / np.sqrt(a + a.dtype.type(self.eps))
+            a *= a.dtype.type(RMSPROP_DECAY)
+            a += a.dtype.type(1.0 - RMSPROP_DECAY) * g * g
+            t.data -= t.data.dtype.type(lr) * g / np.sqrt(a + a.dtype.type(RMSPROP_EPS))
 
 
 def save_checkpoint(path, weights: NetworkWeights, opt: OptimizerState) -> None:
@@ -122,7 +124,7 @@ def save_checkpoint(path, weights: NetworkWeights, opt: OptimizerState) -> None:
     Records: every parameter by name, then its RMSProp accumulator as
     ``rmsprop/<name>``, then ``__iteration__``, one int64.
     """
-    arrays = {n: t.data for n, t in weights.named().items()}
+    arrays = {n: t.data for n, t in weights.params.items()}
     arrays.update((f"rmsprop/{n}", a) for n, a in opt.acc.items())
     arrays["__iteration__"] = np.array([opt.iteration], dtype=np.int64)
     checkpoint.save_arrays(path, arrays)
@@ -138,7 +140,7 @@ def load_checkpoint(path, weights: NetworkWeights) -> OptimizerState:
     integer raises ValueError naming the file and the first bad record.
     """
     arrays = checkpoint.load_arrays(path)
-    params = weights.named()
+    params = weights.params
     names = [*params, *(f"rmsprop/{n}" for n in params), "__iteration__"]
     known = set(names)
     missing = [n for n in names if n not in arrays]
@@ -186,19 +188,27 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
     """One optimisation step on one frame; returns the report and the
     predictions, which are made before the update.
 
-    Raises NonFiniteLossError if any loss term is NaN or infinite, and
-    FloatingPointError naming the first parameter whose gradient is; both
-    are raised before the weights or the RMSProp state are touched.
+    Clears every parameter's gradient, then backpropagates through
+    ``autodiff.backward``.  Raises NonFiniteLossError if any loss term is
+    NaN or infinite, RuntimeError naming every parameter that no gradient
+    reached (the loss does not depend on it), and FloatingPointError naming
+    the first parameter whose gradient is not finite; all are raised before
+    the weights or the RMSProp state are touched.
     """
     i = opt.iteration
-    weights.tape.zero_grad()
+    params = weights.params
+    for t in params.values():
+        t.grad = None
     d_l, d_r = _forward_frame(weights, left, right)
     live = replace(lw, w_smooth=cfg.smooth_at(i))
     total, report = total_loss(Tensor(left), Tensor(right), d_l, d_r, live, margin)
     if not all(np.isfinite(v) for v in astuple(report)):
         raise NonFiniteLossError(i, report)
-    weights.tape.backward(total)
-    for name, t in weights.named().items():
+    autodiff.backward(total)
+    unreached = [name for name, t in params.items() if t.grad is None]
+    if unreached:
+        raise RuntimeError(f"no gradient reached {', '.join(unreached)} at iteration {i}")
+    for name, t in params.items():
         if not np.isfinite(t.grad).all():
             raise FloatingPointError(f"non-finite gradient for {name} at iteration {i}")
     opt.step(weights, cfg.lr_at(i))
@@ -284,6 +294,21 @@ def default_margin(config: NetConfig) -> int:
     return config.disparity_range
 
 
+def check_crop(net: NetConfig, cfg: TrainConfig, margin: int) -> None:
+    """Refuse a training crop that the network or the loss margin cannot take.
+
+    The crop must divide into the network's scales, be wider than the
+    disparity range, and leave columns inside the border margin.
+    """
+    ch, cw, sf = cfg.crop_height, cfg.crop_width, net.scale_factor
+    if ch % sf or cw % sf:
+        raise ValueError(f"crop {ch}x{cw} must be divisible by {sf}")
+    if net.disparity_range >= cw:
+        raise ValueError(f"disparity_range {net.disparity_range} must be < crop width {cw}")
+    if not 0 <= margin < cw:
+        raise ValueError(f"border_margin {margin} must be in [0, {cw}) for crop width {cw}")
+
+
 def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: TrainConfig,
                        lw: LossWeights | None = None, opt: OptimizerState | None = None,
                        margin: int | None = None, log_path=None,
@@ -297,22 +322,17 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
     """
     if not pairs:
         raise ValueError("train_from_scratch: empty dataset")
-    cw = cfg.crop_width
-    sf = weights.config.scale_factor
-    if cfg.crop_height % sf or cw % sf:
-        raise ValueError(f"crop {cfg.crop_height}x{cw} must be divisible by {sf}")
-    if weights.config.disparity_range >= cw:
-        raise ValueError(f"disparity_range {weights.config.disparity_range} must be < crop width {cw}")
+    margin = default_margin(weights.config) if margin is None else margin
+    check_crop(weights.config, cfg, margin)
     lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
-    margin = default_margin(weights.config) if margin is None else margin
     logger = LossLog(log_path, resume_at=opt.iteration)
     try:
         while opt.iteration < cfg.max_iterations:
             i = opt.iteration
             rng = np.random.default_rng((cfg.seed, i))
             pair = pairs[int(rng.integers(len(pairs)))]
-            left, right = _crop_pair(pair, rng, cfg.crop_height, cw)
+            left, right = _crop_pair(pair, rng, cfg.crop_height, cfg.crop_width)
             report, d_l, d_r = train_step(weights, left, right, cfg, lw, opt, margin)
             warp_err = reconstruction_error(left, right, d_l, d_r, margin)
             logger.record(i, cfg.lr_at(i), report, warp_err)

@@ -270,8 +270,8 @@ def _mean_warp(weights, pairs):
 
 def _clone_weights(src, config, seed):
     dst = init_weights(config, seed=seed)
-    for name, t in src.named().items():
-        dst.named()[name].data = t.data.copy()
+    for name, t in src.params.items():
+        dst.params[name].data = t.data.copy()
     return dst
 
 
@@ -335,8 +335,8 @@ def test_criterion_7_self_improvement():
         d_l, d_r = infer(frozen, pair)
         assert result.d_left.tobytes() == d_l.tobytes()
         assert result.d_right.tobytes() == d_r.tobytes()
-    for name, t in lr0.named().items():
-        assert t.data.tobytes() == frozen.named()[name].data.tobytes()
+    for name, t in lr0.params.items():
+        assert t.data.tobytes() == frozen.params[name].data.tobytes()
 
     adapted = _trained["weights"]
     stream = [pairs_b[i % len(pairs_b)] for i in range(100)]

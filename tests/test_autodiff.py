@@ -1,4 +1,4 @@
-"""Tensor engine: forward semantics, backward rules, tape bookkeeping."""
+"""Tensor engine: forward semantics, backward rules, the dead-code guard."""
 
 import ast
 import tracemalloc
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sssm import autodiff as ad
-from sssm.autodiff import Tape, Tensor, no_grad
+from sssm.autodiff import Tensor, no_grad
 
 
 def t64(arr, requires_grad=False):
@@ -259,36 +259,6 @@ class TestReluMask:
         assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= -(-n // 8)
 
 
-class TestTape:
-    def test_parameter_registration_and_order(self):
-        tape = Tape()
-        tape.parameter("b", np.zeros(2))
-        tape.parameter("a", np.zeros(2))
-        assert list(tape.params) == ["b", "a"]
-
-    def test_duplicate_name_rejected(self):
-        tape = Tape()
-        tape.parameter("p", np.zeros(1))
-        with pytest.raises(ValueError):
-            tape.parameter("p", np.zeros(1))
-
-    def test_unreachable_parameter_gets_zero_grad(self):
-        tape = Tape()
-        used = tape.parameter("used", np.array([2.0]), dtype=np.float64)
-        idle = tape.parameter("idle", np.zeros((2, 2)))
-        tape.backward(ad.sum_reduce(ad.mul(used, used)))
-        np.testing.assert_allclose(used.grad, [4.0])
-        np.testing.assert_array_equal(idle.grad, np.zeros((2, 2)))
-
-    def test_zero_grad_clears(self):
-        tape = Tape()
-        p = tape.parameter("p", np.ones(2), dtype=np.float64)
-        tape.backward(ad.sum_reduce(p))
-        assert p.grad is not None
-        tape.zero_grad()
-        assert p.grad is None
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     rows=st.integers(1, 4),
@@ -337,8 +307,7 @@ def test_composed_l1_gradient_matches_finite_differences(seed):
 
 
 def test_every_public_op_is_called():
-    """Dead-code guard over ``autodiff``, ``convops``, ``checkpoint``, ``training``,
-    ``network`` and ``losses``.
+    """Dead-code guard over every module in ``src/sssm`` but ``gradcheck``.
 
     Every public module-level function and class, and every ``Tensor``
     method, must be referenced (as a name, an attribute or an import alias)
@@ -352,15 +321,18 @@ def test_every_public_op_is_called():
     # it is flipped by hand when debugging, so no program path calls it.
     # The unfused volume build is the reference for criterion 2 and for the
     # fused ``volume_conv`` tests; perfbench names it only as a string.
-    allowed = {"set_check_finite", "build_feature_volume"}
+    # ``d1_error`` is the per-pair D1 reference that ``test_metrics`` pins
+    # the thresholds through; ``evaluate`` pools counts instead of calling it.
+    allowed = {"set_check_finite", "build_feature_volume", "d1_error"}
+    callers = [p for p in (root / "src" / "sssm").glob("*.py") if p.name != "gradcheck.py"]
     defined = set()
-    for module in ("autodiff", "convops", "checkpoint", "training", "network", "losses"):
-        for node in ast.parse((root / "src" / "sssm" / f"{module}.py").read_text()).body:
+    for path in callers:
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.add(node.name)
             if isinstance(node, ast.ClassDef) and node.name == "Tensor":
                 defined.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
-    callers = [p for p in (root / "src" / "sssm").glob("*.py") if p.name != "gradcheck.py"]
+    assert {"autodiff.py", "metrics.py", "cli.py"} <= {p.name for p in callers}
     callers += (root / "perfbench").glob("*.py")
     used = set()
     for path in callers:

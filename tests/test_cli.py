@@ -245,6 +245,31 @@ class TestTrainFlow:
         assert "border_margin" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("crop_width = 30", "crop 16x30 must be divisible by 4"),
+        ("disparity_range = 32", "disparity_range 32 must be < crop width 32"),
+        ("border_margin = 32", "border_margin 32 must be in [0, 32)"),
+    ])
+    def test_crop_the_run_cannot_take_exits_1_before_writing(self, micro_env, tmp_path,
+                                                             line, message):
+        # Refused both into a fresh --out and on a resume into an existing run,
+        # whose run_config.txt must keep describing the run that happened.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MICRO_CFG + line + "\n")
+        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+        resumed.mkdir()
+        for name in ("loss_log.csv", "run_config.txt", "weights.sssmw"):
+            (resumed / name).write_bytes((micro_env / "run" / name).read_bytes())
+        before = {p.name: p.read_bytes() for p in resumed.iterdir()}
+        for out in (fresh, resumed):
+            result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                             "--out", str(out), "--config", str(cfg), "--iterations", "4",
+                             "--seed", "0")
+            assert result.returncode == 1
+            assert message in result.stderr
+        assert not fresh.exists()
+        assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
 
 class TestInferEvalFlow:
     def test_infer_writes_predictions(self, micro_env):

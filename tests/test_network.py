@@ -50,24 +50,24 @@ class TestNetConfig:
 class TestInitWeights:
     def test_every_parameter_registered_once(self):
         w = init_weights(MICRO, seed=0)
-        names = list(w.named())
+        names = list(w.params)
         assert len(names) == len(set(names))
         # feature tower: (w, b) per layer; per scale: c, r/a, r/b, dc
         assert len(names) == 2 * MICRO.feature_layers + 2 * 4 * MICRO.restdm_scales
 
     def test_seeded_and_deterministic(self):
-        a = init_weights(MICRO, seed=7).named()
-        b = init_weights(MICRO, seed=7).named()
+        a = init_weights(MICRO, seed=7).params
+        b = init_weights(MICRO, seed=7).params
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
 
     def test_biases_start_at_zero(self):
-        for name, t in init_weights(MICRO, seed=0).named().items():
+        for name, t in init_weights(MICRO, seed=0).params.items():
             if name.endswith("/b"):
                 assert not t.data.any()
 
     def test_final_projection_has_one_channel(self):
-        w = init_weights(MICRO, seed=0).named()
+        w = init_weights(MICRO, seed=0).params
         assert w["tdm/dc1/w"].data.shape[3] == 1
         assert w["tdm/dc1/b"].data.shape == (1,)
 
@@ -97,7 +97,7 @@ class TestExtractFeatures:
         i_r = Tensor(rng.uniform(0, 1, (8, 8, 3)).astype(np.float32))
         with no_grad():
             f_l0, f_r0 = extract_features(i_l, w), extract_features(i_r, w)
-            w.named()["feat/l01/w"].data += 0.05
+            w.params["feat/l01/w"].data += 0.05
             f_l1, f_r1 = extract_features(i_l, w), extract_features(i_r, w)
         assert np.abs(f_l1.data - f_l0.data).max() > 0
         assert np.abs(f_r1.data - f_r0.data).max() > 0
@@ -260,7 +260,7 @@ class TestVolumeConv:
 class TestResTdm:
     def test_output_shape_and_zero_weights(self):
         w = init_weights(MICRO, seed=0)
-        for t in w.named().values():
+        for t in w.params.values():
             t.data[:] = 0.0
         rng = np.random.default_rng(0)
         f1, f2 = (Tensor(rng.standard_normal((8, 8, MICRO.feature_dim)).astype(np.float32))
@@ -379,7 +379,7 @@ class TestForward:
             mark()
         finally:
             tracemalloc.stop()
-        assert all(p.grad is not None for p in w.named().values())
+        assert all(p.grad is not None for p in w.params.values())
         assert largest < volume
         assert max(rises) < volume
 
@@ -489,7 +489,7 @@ class TestGraphMemory:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        params = sum(t.data.nbytes for t in weights.named().values())
+        params = sum(t.data.nbytes for t in weights.params.values())
         assert held - params < 6 * 2 ** 20
         ad.backward(total)
-        assert all(t.grad is not None for t in weights.named().values())
+        assert all(t.grad is not None for t in weights.params.values())

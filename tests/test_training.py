@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sssm import checkpoint, synth
+from sssm import autodiff, checkpoint, synth
 from sssm.autodiff import Tensor, no_grad
 from sssm.data import StereoPair
 from sssm.losses import LossReport, LossWeights, reconstruction_error, total_loss
@@ -69,7 +69,7 @@ class TestOptimizerStep:
         # Drive a single weight with a fixed gradient sequence and check the
         # accumulator and update against the closed-form recurrence.
         weights = init_weights(MICRO, seed=0)
-        name, tensor = next(iter(weights.named().items()))
+        name, tensor = next(iter(weights.params.items()))
         opt = OptimizerState.fresh(weights)
         lr = 0.01
         grads = [0.5, -1.25, 2.0, 0.75]
@@ -77,7 +77,7 @@ class TestOptimizerStep:
         ref_acc = 0.0
         ref_w = float(tensor.data.flat[0])
         for g in grads:
-            for t in weights.named().values():
+            for t in weights.params.values():
                 t.grad = np.zeros_like(t.data)
             tensor.grad.flat[0] = g
             opt.step(weights, lr)
@@ -88,21 +88,21 @@ class TestOptimizerStep:
 
     def test_zero_gradient_leaves_weights_unchanged(self):
         weights = init_weights(MICRO, seed=1)
-        before = {n: t.data.copy() for n, t in weights.named().items()}
-        for t in weights.named().values():
+        before = {n: t.data.copy() for n, t in weights.params.items()}
+        for t in weights.params.values():
             t.grad = np.zeros_like(t.data)
         OptimizerState.fresh(weights).step(weights, lr=0.1)
-        for n, t in weights.named().items():
+        for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
     def test_zero_lr_leaves_weights_unchanged(self):
         weights = init_weights(MICRO, seed=1)
-        before = {n: t.data.copy() for n, t in weights.named().items()}
+        before = {n: t.data.copy() for n, t in weights.params.items()}
         rng = np.random.default_rng(0)
-        for t in weights.named().values():
+        for t in weights.params.values():
             t.grad = rng.standard_normal(t.data.shape).astype(np.float32)
         OptimizerState.fresh(weights).step(weights, lr=0.0)
-        for n, t in weights.named().items():
+        for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
 
@@ -121,8 +121,8 @@ class TestCheckpointIo:
         save_checkpoint(path, weights, OptimizerState.fresh(weights))
         other = init_weights(MICRO, seed=9)
         load_checkpoint(path, other)
-        for n, t in weights.named().items():
-            np.testing.assert_array_equal(other.named()[n].data, t.data)
+        for n, t in weights.params.items():
+            np.testing.assert_array_equal(other.params[n].data, t.data)
 
     def test_load_rejects_wrong_architecture(self, tmp_path):
         path = tmp_path / "w.bin"
@@ -143,14 +143,14 @@ class TestCheckpointIo:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_load_rejects_non_finite_weights_before_assigning(self, tmp_path, bad):
         weights = init_weights(MICRO, seed=3)
-        value = weights.named()["tdm/dc2/b"].data.copy()
+        value = weights.params["tdm/dc2/b"].data.copy()
         value[0] = bad  # the last weight record: every other one is fine
         _save(tmp_path / "w.bin", weights, **{"tdm/dc2/b": value})
         other = init_weights(MICRO, seed=9)
-        before = {n: t.data.copy() for n, t in other.named().items()}
+        before = {n: t.data.copy() for n, t in other.params.items()}
         with pytest.raises(ValueError, match=r"w\.bin: tdm/dc2/b .*non-finite"):
             load_checkpoint(tmp_path / "w.bin", other)
-        for n, t in other.named().items():
+        for n, t in other.params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
     def test_optimizer_round_trip(self, tmp_path):
@@ -179,7 +179,7 @@ class TestCheckpointIo:
         # a weights-only container, as a foreign or partial file would be
         weights = init_weights(MICRO, seed=0)
         path = tmp_path / "w.bin"
-        checkpoint.save_arrays(path, {n: t.data for n, t in weights.named().items()})
+        checkpoint.save_arrays(path, {n: t.data for n, t in weights.params.items()})
         with pytest.raises(ValueError, match=r"w\.bin: .*first missing rmsprop/feat/l01/w"):
             load_checkpoint(path, weights)
 
@@ -214,7 +214,7 @@ class TestCheckpointIo:
         weights = init_weights(MICRO, seed=0)
         _save(tmp_path / "w.bin", weights)
         wider = init_weights(dataclasses.replace(MICRO, feature_dim=8), seed=0)
-        assert list(wider.named()) == list(weights.named())
+        assert list(wider.params) == list(weights.params)
         with pytest.raises(ValueError, match=r"w\.bin: feat/l01/w .*\(3, 3, 3, 4\).*\(3, 3, 3, 8\)"):
             load_checkpoint(tmp_path / "w.bin", wider)
         # right weights, one misshapen accumulator
@@ -224,7 +224,7 @@ class TestCheckpointIo:
 
     def test_weight_of_another_dtype_is_refused(self, tmp_path):
         weights = init_weights(MICRO, seed=0)
-        value = weights.named()["feat/l01/b"].data.astype(np.int64)
+        value = weights.params["feat/l01/b"].data.astype(np.int64)
         _save(tmp_path / "w.bin", weights, **{"feat/l01/b": value})
         with pytest.raises(ValueError, match=r"w\.bin: feat/l01/b .*int64.*float32"):
             load_checkpoint(tmp_path / "w.bin", weights)
@@ -254,12 +254,12 @@ class TestCheckpointIo:
         for a, b in zip(bounds, bounds[1:]):
             cuts.update((a + 1, a + 4, a + 5, (a + b) // 2, b - 1))
         other = init_weights(MICRO, seed=9)
-        before = {n: t.data.copy() for n, t in other.named().items()}
+        before = {n: t.data.copy() for n, t in other.params.items()}
         for cut in sorted(cuts):
             (tmp_path / "cut.bin").write_bytes(data[:cut])
             with pytest.raises(ValueError, match=r"cut\.bin: "):
                 load_checkpoint(tmp_path / "cut.bin", other)
-        for n, t in other.named().items():
+        for n, t in other.params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
 
@@ -277,11 +277,11 @@ class TestTrainStep:
 
     def test_weights_change_under_training(self):
         weights = init_weights(MICRO, seed=0)
-        before = {n: t.data.copy() for n, t in weights.named().items()}
+        before = {n: t.data.copy() for n, t in weights.params.items()}
         pair = _micro_pairs(1)[0]
         train_step(weights, pair.left, pair.right, _micro_cfg(), LossWeights(),
                    OptimizerState.fresh(weights), margin=4)
-        moved = sum(np.abs(t.data - before[n]).max() > 0 for n, t in weights.named().items())
+        moved = sum(np.abs(t.data - before[n]).max() > 0 for n, t in weights.params.items())
         assert moved > len(before) // 2
 
     def test_non_finite_loss_raises_before_update(self, monkeypatch):
@@ -300,7 +300,7 @@ class TestTrainStep:
         monkeypatch.setattr(training_mod, "total_loss", poisoned_total_loss)
         weights = init_weights(MICRO, seed=0)
         pair = _micro_pairs(1)[0]
-        before = {n: t.data.copy() for n, t in weights.named().items()}
+        before = {n: t.data.copy() for n, t in weights.params.items()}
         opt = OptimizerState.fresh(weights)
         with pytest.raises(NonFiniteLossError) as exc:
             train_step(weights, pair.left, pair.right, _micro_cfg(), LossWeights(), opt, margin=4)
@@ -309,29 +309,46 @@ class TestTrainStep:
         assert not np.isfinite(exc.value.report.total)
         # The failed step must not have touched weights or the step counter.
         assert opt.iteration == 0
-        for n, t in weights.named().items():
+        for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
     def test_non_finite_gradient_raises_before_update(self, monkeypatch):
         # A finite loss can still backpropagate a NaN, so poison two
         # gradients after backward and expect the earlier one to be named.
+        # Patching the module attribute also pins the call path: train_step
+        # must look backward up on ``sssm.autodiff``, where perfbench times it.
         weights = init_weights(MICRO, seed=0)
-        names = list(weights.named())
-        backward = weights.tape.backward
+        names = list(weights.params)
+        backward = autodiff.backward
 
         def poisoned_backward(loss):
             backward(loss)
             for name in (names[3], names[5]):
-                weights.named()[name].grad.reshape(-1)[0] = np.nan
+                weights.params[name].grad.reshape(-1)[0] = np.nan
 
-        monkeypatch.setattr(weights.tape, "backward", poisoned_backward)
+        monkeypatch.setattr(autodiff, "backward", poisoned_backward)
         pair = _micro_pairs(1)[0]
-        before = {n: t.data.copy() for n, t in weights.named().items()}
+        before = {n: t.data.copy() for n, t in weights.params.items()}
         opt = OptimizerState.fresh(weights)
         with pytest.raises(FloatingPointError, match=names[3]):
             train_step(weights, pair.left, pair.right, _micro_cfg(), LossWeights(), opt, margin=4)
         assert opt.iteration == 0
-        for n, t in weights.named().items():
+        for n, t in weights.params.items():
+            np.testing.assert_array_equal(t.data, before[n])
+            np.testing.assert_array_equal(opt.acc[n], 0.0)
+
+    def test_unreached_parameter_is_refused_before_update(self):
+        # Every weight must get a gradient from the warping losses; one that
+        # forward never reads is a bug to report, not a zero to apply.
+        weights = init_weights(MICRO, seed=0)
+        weights.params["extra/w"] = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+        pair = _micro_pairs(1)[0]
+        before = {n: t.data.copy() for n, t in weights.params.items()}
+        opt = OptimizerState.fresh(weights)
+        with pytest.raises(RuntimeError, match="no gradient reached extra/w"):
+            train_step(weights, pair.left, pair.right, _micro_cfg(), LossWeights(), opt, margin=4)
+        assert opt.iteration == 0
+        for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, before[n])
             np.testing.assert_array_equal(opt.acc[n], 0.0)
 
@@ -356,7 +373,7 @@ class TestTrainFromScratch:
             path = tmp_path / f"{run}.csv"
             _, logger = train_from_scratch(_micro_pairs(), weights, cfg, log_path=path)
             logs.append(path.read_bytes())
-            finals.append({n: t.data.copy() for n, t in weights.named().items()})
+            finals.append({n: t.data.copy() for n, t in weights.params.items()})
         assert logs[0] == logs[1]
         for n in finals[0]:
             np.testing.assert_array_equal(finals[0][n], finals[1][n])
@@ -456,12 +473,12 @@ class TestOnlineAdapt:
     def test_zero_lr_stream_equals_plain_inference(self, h, w):
         pairs = _micro_pairs(3, h=h, w=w)
         weights = init_weights(MICRO, seed=4)
-        frozen = {n: t.data.copy() for n, t in weights.named().items()}
+        frozen = {n: t.data.copy() for n, t in weights.params.items()}
         cfg = _micro_cfg(learning_rate=0.0, dropped_learning_rate=0.0)
 
         results = list(online_adapt(weights, pairs, cfg))
         assert [r.index for r in results] == [0, 1, 2]
-        for n, t in weights.named().items():
+        for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, frozen[n])
 
         ref = init_weights(MICRO, seed=4)
