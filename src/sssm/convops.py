@@ -1,17 +1,19 @@
 """Convolution primitives: 2D, 3D, and transposed 3D.
 
-All three are built from one shift-and-GEMM correlation.  The input is
-zero-padded once and split into stride^S phases (a single phase at stride
-1), each flattened to (rows, C).  Within a flattened phase every kernel
-offset is a fixed row shift, so each tap is one GEMM on a contiguous row
-range of a view.  Results are computed on ``span`` consecutive grid rows;
-rows between outputs are padding, dropped in forward and held at zero in
+All three, and ``network.volume_conv``'s two convolutions, are built from
+one shift-and-GEMM correlation, whose geometry takes a kernel extent and a
+stride per axis.  The input is zero-padded once and split into one phase
+per combination of per-axis stride offsets (a single phase at stride 1),
+each flattened to (rows, C).  Within a flattened phase every kernel offset
+is a fixed row shift, so each tap is one GEMM on a contiguous row range of
+a view.  Results are computed on ``span`` consecutive grid rows; rows
+between outputs are padding, dropped in forward and held at zero in
 backward.  The grid keeps them few (``_Grid``): it flattens the shortest
 axis outermost, and consecutive lines of an inner axis share their zero
 slots, so a same-padded stride-1 (32, 64, 10) volume computes 21384 rows
 for its 20480 outputs.  The loops never run over pixels: the outer loop
 walks blocks of consecutive grid rows (``_BLOCK_ROWS``), and the kernel
-offsets (9 or 27) are looped inside each block.  At 16 channels a tap
+offsets (3, 9 or 27) are looped inside each block.  At 16 channels a tap
 GEMM does little arithmetic per byte, so it is bound by memory traffic;
 looping taps over the whole grid would stream a full-size temporary and
 output through memory once per tap, while a block's output rows and GEMM
@@ -59,29 +61,29 @@ def _same_pads(n: int, k: int, stride: int) -> tuple[int, int, int]:
 class _Grid:
     """Where each kernel tap reads in the flattened phases of a padded input.
 
-    Phase r holds padded positions m * stride + r, so tap a reads phase
-    a % stride at slot a // stride.  A phase flattens its slots with the
-    smallest extent outermost (``pitch`` is each axis's row step), so the
-    padding rides on the fewest, longest lines.  An inner axis's line is
-    ``count + max(leading, trailing)`` slots, the most any phase needs:
-    the zeros trailing one line are the ones leading the next, so a
+    ``k`` and ``stride`` give a kernel extent and a stride per axis.  Along
+    an axis with stride s, phase r holds padded positions m * s + r, so
+    tap a reads phase a % s at slot a // s.  A phase flattens its slots
+    with the smallest extent outermost (``pitch`` is each axis's row step),
+    so the padding rides on the fewest, longest lines.  An inner axis's
+    line is ``count + max(leading, trailing)`` slots, the most any phase
+    needs: the zeros trailing one line are the ones leading the next, so a
     same-padded stride-1 axis carries one zero slot per line, not two.
     Every tap is then one row shift.  Output n sits at row sum(n * pitch);
     ``span`` rows cover every output, and ``rows`` every padded slot, so
     each tap's ``span`` rows from its shift stay inside the phase.
     """
 
-    def __init__(self, spatial, k: int, stride: int):
+    def __init__(self, spatial, k: tuple, stride: tuple):
         nd = len(spatial)
         self.spatial = tuple(spatial)
-        self.stride = stride
-        geo = [_same_pads(n, k, stride) for n in spatial]
+        geo = [_same_pads(n, e, s) for n, e, s in zip(spatial, k, stride)]
         self.out = tuple(g[0] for g in geo)
-        slots = [-(-(n + pb + pa) // stride) for n, (_, pb, pa) in zip(spatial, geo)]
+        slots = [-(-(n + pb + pa) // s) for n, (_, pb, pa), s in zip(spatial, geo, stride)]
         axes = []  # per axis, per phase: (first slot, sample count, input slice)
-        for n, (_, pb, _) in zip(spatial, geo):
-            firsts = [-(-(pb - r) // stride) for r in range(stride)]
-            srcs = [slice(f * stride + r - pb, n, stride) for r, f in enumerate(firsts)]
+        for n, (_, pb, _), s in zip(spatial, geo, stride):
+            firsts = [-(-(pb - r) // s) for r in range(s)]
+            srcs = [slice(f * s + r - pb, n, s) for r, f in enumerate(firsts)]
             axes.append([(f, len(range(n)[src]), src) for f, src in zip(firsts, srcs)])
         pitch, step = [0] * nd, 1
         # Innermost first: the longest axis, and among equals the last.
@@ -94,12 +96,12 @@ class _Grid:
         self.span = 1 + sum((o - 1) * p for o, p in zip(self.out, self.pitch))
         self.rows = 1 + sum((m - 1) * p for m, p in zip(slots, self.pitch))
         self.taps = tuple(
-            (int(np.ravel_multi_index([i % stride for i in a], (stride,) * nd)),
-             sum(i // stride * p for i, p in zip(a, self.pitch)))
-            for a in np.ndindex(*(k,) * nd)
+            (int(np.ravel_multi_index([i % s for i, s in zip(a, stride)], stride)),
+             sum(i // s * p for i, s, p in zip(a, stride, self.pitch)))
+            for a in np.ndindex(*k)
         )
 
-    def _view(self, rows: np.ndarray, shape, first=()) -> np.ndarray:
+    def view(self, rows: np.ndarray, shape, first=()) -> np.ndarray:
         """The (*shape, C) view of contiguous (rows, C) grid rows from slot
         ``first`` (the origin by default); numpy checks it stays inside."""
         step, chan = rows.strides
@@ -108,32 +110,32 @@ class _Grid:
                           tuple(p * step for p in self.pitch) + (chan,))
 
     def phases(self, x: np.ndarray) -> np.ndarray:
-        """Zero-padded ``x`` split into phases, (stride^S, rows, C), in one copy."""
-        ph = np.zeros((self.stride ** len(self.spatial), self.rows, x.shape[-1]), dtype=x.dtype)
+        """Zero-padded ``x`` split into phases, (phases, rows, C), in one copy."""
+        ph = np.zeros((len(self.parts), self.rows, x.shape[-1]), dtype=x.dtype)
         for p, (first, cnt, src) in enumerate(self.parts):
-            self._view(ph[p], cnt, first)[...] = x[src]
+            self.view(ph[p], cnt, first)[...] = x[src]
         return ph
 
     def unphase(self, ph: np.ndarray) -> np.ndarray:
         """Adjoint of ``phases``: the input-shaped part of phase arrays."""
         x = np.empty(self.spatial + ph.shape[-1:], dtype=ph.dtype)
         for p, (first, cnt, src) in enumerate(self.parts):
-            x[src] = self._view(ph[p], cnt, first)
+            x[src] = self.view(ph[p], cnt, first)
         return x
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """Output-shaped ``y`` as (span, C) grid rows, zero off the output."""
         rows = np.zeros((self.span,) + y.shape[-1:], dtype=y.dtype)
-        self._view(rows, self.out)[...] = y
+        self.view(rows, self.out)[...] = y
         return rows
 
     def extract(self, rows: np.ndarray) -> np.ndarray:
         """The output-shaped part of (span, C) grid rows, as a new array."""
-        return self._view(rows, self.out).copy()
+        return self.view(rows, self.out).copy()
 
 
 @functools.lru_cache(maxsize=64)
-def _grid(spatial: tuple, k: int, stride: int) -> _Grid:
+def _grid(spatial: tuple, k: tuple, stride: tuple) -> _Grid:
     """The ``_Grid`` of one conv geometry, built once and shared by every call."""
     return _Grid(spatial, k, stride)
 
@@ -211,10 +213,10 @@ def _correlate_input(g: np.ndarray, w: np.ndarray, grid: _Grid) -> np.ndarray:
     """Input gradient as phases: g @ w[tap].T added into each tap's row range.
 
     ``g`` is the output gradient as (span, Cout) grid rows, zero off the
-    output; ``w`` is (taps, C, Cout).  Returns (stride^S, rows, C).
+    output; ``w`` is (taps, C, Cout).  Returns (phases, rows, C).
     """
     n, c = grid.span, w.shape[1]
-    gph = np.zeros((grid.stride ** len(grid.spatial), grid.rows, c), dtype=g.dtype)
+    gph = np.zeros((len(grid.parts), grid.rows, c), dtype=g.dtype)
     if not _per_tap(c, w.shape[2]):
         gcols = w.reshape(-1, w.shape[2]) @ g.T
         for j, (p, shift) in enumerate(grid.taps):
@@ -249,7 +251,7 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, nd: int) -> T
         raise ValueError(f"conv: bias shape {bias.data.shape} != ({cout},)")
     if x.data.dtype != kernel.data.dtype:
         raise ValueError(f"conv: dtype mismatch {x.data.dtype} vs {kernel.data.dtype}")
-    grid = _grid(x.data.shape[:-1], k, stride)
+    grid = _grid(x.data.shape[:-1], (k,) * nd, (stride,) * nd)
     w = kernel.data.reshape(k ** nd, cin, cout)
     out_data = grid.extract(_correlate(grid.phases(x.data), w, grid))
     out_data += bias.data
@@ -326,7 +328,7 @@ def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"deconv3d: bias shape {bias.data.shape} != ({cin},)")
     if y.data.dtype != kernel.data.dtype:
         raise ValueError(f"deconv3d: dtype mismatch {y.data.dtype} vs {kernel.data.dtype}")
-    grid = _grid(tuple(2 * n for n in y.data.shape[:3]), k, 2)
+    grid = _grid(tuple(2 * n for n in y.data.shape[:3]), (k,) * 3, (2,) * 3)
     w = kernel.data.reshape(k ** 3, cin, cout)
     out_data = grid.unphase(_correlate_input(grid.embed(y.data), w, grid))
     out_data += bias.data

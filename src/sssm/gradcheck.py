@@ -182,13 +182,16 @@ def _conv_checks(seed):
     checks.append(("conv3d_s2", lambda x=x, k=k, b=b: _project(conv3d(x, k, b, stride=2)), [x, k, b]))
     y, k, b = _t(rng, 2, 3, 2, 2), _t(rng, 3, 3, 3, 3, 2), _t(rng, 3)
     checks.append(("deconv3d", lambda y=y, k=k, b=b: _project(deconv3d(y, k, b)), [y, k, b]))
+    # On the tall map the volume_conv grids flatten H innermost.
     for direction in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
-        fa, fb, k, b = _t(rng, 4, 6, 2), _t(rng, 4, 6, 2), _t(rng, 3, 3, 3, 4, 2), _t(rng, 2)
-        checks.append((
-            f"volume_conv_{direction}_padded",
-            lambda fa=fa, fb=fb, k=k, b=b, d=direction: _project(volume_conv(fa, fb, k, b, 3, d, 6)),
-            [fa, fb, k, b],
-        ))
+        for hw, depth, suffix in (((4, 6), 6, "padded"), ((8, 4), None, "tall")):
+            fa, fb, k, b = _t(rng, *hw, 2), _t(rng, *hw, 2), _t(rng, 3, 3, 3, 4, 2), _t(rng, 2)
+            checks.append((
+                f"volume_conv_{direction}_{suffix}",
+                lambda fa=fa, fb=fb, k=k, b=b, d=direction, n=depth:
+                    _project(volume_conv(fa, fb, k, b, 3, d, n)),
+                [fa, fb, k, b],
+            ))
     # The network's layout: the disparity axis, last, is the shortest.
     x, k, b = _t(rng, 5, 6, 3, 2), _t(rng, 3, 3, 3, 2, 2), _t(rng, 2)
     checks.append(("conv3d_s1_d_shortest", lambda x=x, k=k, b=b: _project(conv3d(x, k, b)), [x, k, b]))

@@ -9,9 +9,10 @@ Disparity for each view comes from the same weights applied symmetrically:
 
 ``build_feature_volume`` defines the volume, but ``forward`` never
 materialises it: ``volume_conv`` computes the regulariser's first stride-2
-convolution straight from the two feature maps, and later scales work on
-its half-size output.  Everything is built from the autodiff primitives,
-so one ``backward`` call differentiates the whole stack.
+convolution straight from the two feature maps, as two ``convops``
+convolutions, one per map, and later scales work on its half-size output.
+Everything is built from the autodiff primitives, so one ``backward``
+call differentiates the whole stack.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, accumulate, make_op, sink
-from .convops import channel_sum, conv2d, conv3d, deconv3d
+from .convops import _correlate, _correlate_input, _correlate_weight, _grid, channel_sum, conv2d, conv3d, deconv3d
 
 LEFT_TO_RIGHT = "lr"
 RIGHT_TO_LEFT = "rl"
@@ -192,32 +193,6 @@ def build_feature_volume(f_first: Tensor, f_second: Tensor, max_disparity: int, 
     return make_op(vol, (f_first, f_second), bwd)
 
 
-def _row_taps(f: np.ndarray) -> np.ndarray:
-    """Rows 2i-1, 2i and 2i+1 of ``f`` side by side, zero above the top.
-
-    Returns (H/2 * W, 3F) with rows ordered (i, column parity, column // 2),
-    so that every stride-2 column tap reads contiguous rows.
-    """
-    h, w, c = f.shape
-    by_parity = f.reshape(h, w // 2, 2, c).swapaxes(1, 2)
-    taps = np.zeros((h // 2, 2, w // 2, 3, c), dtype=f.dtype)
-    taps[1:, :, :, 0] = by_parity[1:-1:2]
-    taps[:, :, :, 1] = by_parity[0::2]
-    taps[:, :, :, 2] = by_parity[1::2]
-    return taps.reshape(-1, 3 * c)
-
-
-def _row_taps_adjoint(g: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of ``_row_taps``: tap gradients summed back into an (H, W, F) map."""
-    h, w, c = shape
-    g = g.reshape(h // 2, 2, w // 2, 3, c)
-    f = np.empty((h, 2, w // 2, c), dtype=g.dtype)
-    f[0::2] = g[:, :, :, 1]
-    f[1::2] = g[:, :, :, 2]
-    f[1:-1:2] += g[1:, :, :, 0]
-    return f.swapaxes(1, 2).reshape(h, w, c)
-
-
 def _column_taps(w: int, shift: int) -> list[tuple[int, int, slice, slice]]:
     """(dw, parity, output columns, feature-map columns) of the stride-2 column taps.
 
@@ -238,11 +213,12 @@ def _column_taps(w: int, shift: int) -> list[tuple[int, int, slice, slice]]:
 
 
 def _halves(kernel: np.ndarray) -> list[np.ndarray]:
-    """Each half of a volume kernel, first view then second, as (dw, dd)
-    matrices over (dh, c): two (3, 3, 3F, Cout) arrays."""
-    f = kernel.shape[3] // 2
-    return [kernel[:, :, :, s].transpose(1, 2, 0, 3, 4).reshape(3, 3, 3 * f, kernel.shape[4])
-            for s in (slice(None, f), slice(f, None))]
+    """Each half of a volume kernel as the kernel of the conv that ``volume_conv``
+    runs on its view: the first as a 3x3 conv's (dh dw, F, dd cout), the
+    second as a 3x1 conv's (dh, F, dw dd cout)."""
+    f, cout = kernel.shape[3] // 2, kernel.shape[4]
+    return [kernel[:, :, :, :f].transpose(0, 1, 3, 2, 4).reshape(9, f, 3 * cout),
+            kernel[:, :, :, f:].transpose(0, 3, 1, 2, 4).reshape(3, f, 9 * cout)]
 
 
 def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor, max_disparity: int,
@@ -251,15 +227,17 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
 
     Equals ``conv3d(build_feature_volume(f_first, f_second, max_disparity,
     direction, depth).values, kernel, bias, stride=2)``, but neither the
-    volume nor its gradient is allocated.  Each half of the kernel meets
-    its feature map in GEMMs on the stacked row taps, giving R (dw, dd,
-    H/2, W, Cout).  The first-view half is constant along d, so its R is
-    summed over the column taps once and added to every output slice whose
-    depth taps reach a d <= D.  The second-view half is f_second shifted by
-    d, so for each d <= D and each column tap its R is added with one slice.
-    Backward runs the same slices adjointly.  It keeps only the two feature
-    maps, the arrays the lr and rl calls share, and the kernel, and
-    rebuilds the row taps and kernel halves from them.
+    volume nor its gradient is allocated.  Each kernel half meets its map in
+    a ``convops`` convolution, which also gives its gradients.  The
+    first-view half is constant along d, so its part is a stride-2 3x3 conv
+    of f_first with the depth taps dd as 3 Cout output channels; each is
+    added to every output slice whose depth tap reaches a d <= D.  The
+    second-view half is f_second shifted by d: its R is a 3x1 conv at stride
+    (2, 1) with the (dw, dd) taps as 9 Cout output channels, and for each
+    d <= D and column tap, R is added with one slice of a contiguous copy
+    of its dd part.  Backward runs the same slices adjointly.  It keeps only
+    the two feature maps, the arrays the lr and rl calls share, and the
+    kernel, and rebuilds the phases and kernel halves from them.
     """
     d_max, depth = _volume_geometry(f_first, f_second, max_disparity, direction, depth, "volume_conv")
     h, w, f = f_first.data.shape
@@ -275,49 +253,56 @@ def volume_conv(f_first: Tensor, f_second: Tensor, kernel: Tensor, bias: Tensor,
     sign = -1 if direction == LEFT_TO_RIGHT else 1
     # per depth tap dd, the output slices k whose d = 2k + dd - 1 lies in [0, D]
     depth_taps = [range((2 - dd) // 2, min(depth // 2, (d_max + 3 - dd) // 2)) for dd in range(3)]
-    first_taps = _column_taps(w, 0)
-    second_taps = [(k, dd, _column_taps(w, sign * (2 * k + dd - 1)))
-                   for dd, ks in enumerate(depth_taps) for k in ks]
-    rows = (h // 2, 2, w // 2, cout)
-    taps = [_row_taps(f_first.data), _row_taps(f_second.data)]
-    r1, r2 = (np.matmul(t, k).reshape(3, 3, *rows) for t, k in zip(taps, _halves(kernel.data)))
-
-    s1 = np.zeros((3,) + rows[:1] + rows[2:], dtype=r1.dtype)
-    for dw, p, bs, js in first_taps:
-        s1[:, :, bs] += r1[dw, :, :, p, js]
-    out = np.zeros((depth // 2,) + s1.shape[1:], dtype=r1.dtype)
+    # per depth tap dd, (k, dw, parity, output columns, map columns) of every
+    # second-view column tap
+    plan = [[(k,) + tap for k in ks for tap in _column_taps(w, sign * (2 * k + dd - 1))]
+            for dd, ks in enumerate(depth_taps)]
+    grids = g1, g2 = _grid((h, w), (3, 3), (2, 2)), _grid((h, w), (3, 1), (2, 1))
+    taps = (h // 2, w // 2, 2, 3, 3, cout)  # R as (i, column // 2, column parity, dw, dd, cout)
+    halves = _halves(kernel.data)
+    s1 = g1.view(_correlate(g1.phases(f_first.data), halves[0], g1), g1.out)
+    s1 = np.ascontiguousarray(s1.reshape(h // 2, w // 2, 3, cout).transpose(2, 0, 1, 3))
+    out = np.zeros((depth // 2,) + s1.shape[1:], dtype=s1.dtype)
     for dd, ks in enumerate(depth_taps):
         out[ks.start:ks.stop] += s1[dd]
-    for k, dd, cols in second_taps:
-        for dw, p, bs, js in cols:
-            out[k, :, bs] += r2[dw, dd, :, p, js]
+    r = g2.view(_correlate(g2.phases(f_second.data), halves[1], g2), g2.out).reshape(taps)
+    slab = np.empty((3, 2) + s1.shape[1:], dtype=s1.dtype)
+    for dd, adds in enumerate(plan):
+        np.copyto(slab, r[:, :, :, :, dd].transpose(3, 2, 0, 1, 4))
+        for k, dw, p, bs, js in adds:
+            out[k, :, bs] += slab[dw, p, :, js]
+    del s1, r, slab
     result = np.empty((h // 2, w // 2, depth // 2, cout), dtype=out.dtype)
     np.add(out.transpose(1, 2, 0, 3), bias.data, out=result)
     s_maps, sk, sb = (sink(f_first), sink(f_second)), sink(kernel), sink(bias)
-    cached = (f_first.data, f_second.data) if sk is not None else None
+    cached = (f_first.data, f_second.data) if sk is not None else (None, None)
     kdata = kernel.data
 
     def bwd(g):
         g = np.ascontiguousarray(g.transpose(2, 0, 1, 3))
-        gs1 = np.stack([g[ks.start:ks.stop].sum(axis=0) for ks in depth_taps])
-        gr1 = np.zeros((3, 3) + rows, dtype=g.dtype)
-        for dw, p, bs, js in first_taps:
-            gr1[dw, :, :, p, js] += gs1[:, :, bs]
-        gr2 = np.zeros_like(gr1)
-        for k, dd, cols in second_taps:
-            for dw, p, bs, js in cols:
-                gr2[dw, dd, :, p, js] += g[k, :, bs]
-        grs = [gr.reshape(3, 3, -1, cout) for gr in (gr1, gr2)]
-        if sk is not None:
-            gk = [np.matmul(_row_taps(m).T, gr).reshape(3, 3, 3, f, cout)
-                  for m, gr in zip(cached, grs)]
-            accumulate(sk, np.concatenate(gk, axis=3).transpose(2, 0, 1, 3, 4))
         if sb is not None:
             accumulate(sb, channel_sum(g))
-        for s, gr, k in zip(s_maps, grs, _halves(kdata)):
+        # each view's output gradient as grid rows, zero off the output
+        rows = [np.zeros((g1.span, 3 * cout), dtype=g.dtype), np.zeros((g2.span, 9 * cout), dtype=g.dtype)]
+        gs1 = g1.view(rows[0], g1.out).reshape(h // 2, w // 2, 3, cout)
+        for dd, ks in enumerate(depth_taps):
+            gs1[:, :, dd] = g[ks.start:ks.stop].sum(axis=0)
+        gr = g2.view(rows[1], g2.out).reshape(taps)
+        slab = np.empty((3, 2) + g.shape[1:], dtype=g.dtype)
+        for dd, adds in enumerate(plan):
+            slab.fill(0)
+            for k, dw, p, bs, js in adds:
+                slab[dw, p, :, js] += g[k, :, bs]
+            gr[:, :, :, :, dd] = slab.transpose(2, 3, 1, 0, 4)
+        del slab
+        for s, grid, view_rows, half in zip(s_maps, grids, rows, _halves(kdata)):
             if s is not None:
-                gt = np.tensordot(gr, k, axes=([0, 1, 3], [0, 1, 3]))
-                accumulate(s, _row_taps_adjoint(gt, (h, w, f)))
+                accumulate(s, grid.unphase(_correlate_input(view_rows, half, grid)))
+        if sk is not None:
+            gk = [_correlate_weight(grid.phases(m), view_rows, grid)
+                  for grid, m, view_rows in zip(grids, cached, rows)]
+            accumulate(sk, np.concatenate([gk[0].reshape(3, 3, f, 3, cout).transpose(0, 1, 3, 2, 4),
+                                           gk[1].reshape(3, f, 3, 3, cout).transpose(0, 2, 3, 1, 4)], axis=3))
 
     return make_op(result, (f_first, f_second, kernel, bias), bwd)
 

@@ -309,11 +309,12 @@ def test_composed_l1_gradient_matches_finite_differences(seed):
 def test_every_public_op_is_called():
     """Dead-code guard over every module in ``src/sssm`` but ``gradcheck``.
 
-    Every public module-level function and class, and every ``Tensor``
-    method, must be referenced (as a name, an attribute or an import alias)
-    by the program in ``src/sssm`` or by the benchmark in ``perfbench``.
-    ``gradcheck`` does not count: it checks ops, so it would keep any op
-    alive.  Methods Python calls implicitly are exempt.
+    Every module-level function, private (``_``-prefixed) ones included,
+    every public module-level class, and every ``Tensor`` method must be
+    referenced (as a name, an attribute or an import alias) by the program
+    in ``src/sssm`` or by the benchmark in ``perfbench``.  ``gradcheck``
+    does not count: it checks ops, so it would keep any op alive.  Methods
+    Python calls implicitly are exempt.
     """
     root = Path(__file__).resolve().parents[1]
     implicit = {"__init__", "__repr__", "__enter__", "__exit__"}
@@ -328,7 +329,8 @@ def test_every_public_op_is_called():
     defined = set()
     for path in callers:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef) or (
+                    isinstance(node, ast.ClassDef) and not node.name.startswith("_")):
                 defined.add(node.name)
             if isinstance(node, ast.ClassDef) and node.name == "Tensor":
                 defined.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))

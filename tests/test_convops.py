@@ -252,7 +252,7 @@ class TestRowBlocks:
         monkeypatch.setattr(convops, "_BLOCK_ROWS", self.BLOCK)
 
     def _assert_blocked(self, spatial, stride, cin, cout):
-        grid = convops._grid(spatial, 3, stride)
+        grid = convops._grid(spatial, (3,) * len(spatial), (stride,) * len(spatial))
         assert convops._per_tap(cin, cout)
         assert grid.span > 2 * self.BLOCK and grid.span % self.BLOCK
 
@@ -332,22 +332,28 @@ class TestAxisOrders:
 class TestGrid:
     """The flattened phase layout itself."""
 
-    @pytest.mark.parametrize("spatial,stride,span", [
-        pytest.param((32, 64, 10), 1, 21384, id="scale1-s1"),
-        pytest.param((16, 32, 5), 1, 2771, id="scale2-s1"),
-        pytest.param((32, 64, 10), 2, 2771, id="scale1-s2"),
-        pytest.param((64, 128, 20), 2, 21384, id="volume-s2"),
-        pytest.param((64, 128), 1, 8255, id="image-s1"),
-        pytest.param((9, 7), 3, 9, id="2d-s3"),
-        pytest.param((6, 2, 4), 2, 7, id="3d-s2-short-middle"),
+    @pytest.mark.parametrize("spatial,k,stride,span", [
+        pytest.param((32, 64, 10), (3,) * 3, (1,) * 3, 21384, id="scale1-s1"),
+        pytest.param((16, 32, 5), (3,) * 3, (1,) * 3, 2771, id="scale2-s1"),
+        pytest.param((32, 64, 10), (3,) * 3, (2,) * 3, 2771, id="scale1-s2"),
+        pytest.param((64, 128, 20), (3,) * 3, (2,) * 3, 21384, id="volume-s2"),
+        pytest.param((64, 128), (3,) * 2, (1,) * 2, 8255, id="image-s1"),
+        pytest.param((9, 7), (3,) * 2, (3,) * 2, 9, id="2d-s3"),
+        pytest.param((6, 2, 4), (3,) * 3, (2,) * 3, 7, id="3d-s2-short-middle"),
+        # volume_conv's second-view grid: no padding along W, so every row
+        # is an output; on a tall map H is innermost and its lines carry
+        # one padding row each
+        pytest.param((64, 128), (3, 1), (2, 1), 4096, id="3x1-s21"),
+        pytest.param((12, 4), (3, 1), (2, 1), 27, id="3x1-s21-tall"),
     ])
-    def test_invariants(self, spatial, stride, span):
-        grid = convops._Grid(spatial, 3, stride)
+    def test_invariants(self, spatial, k, stride, span):
+        grid = convops._Grid(spatial, k, stride)
         assert grid.span == span
+        assert len(grid.taps) == np.prod(k)
         for _, shift in grid.taps:
             assert 0 <= shift and shift + grid.span <= grid.rows
         ph = grid.phases(np.ones(spatial + (2,)))
-        assert ph.shape == (stride ** len(spatial), grid.rows, 2)
+        assert ph.shape == (np.prod(stride), grid.rows, 2)
         np.testing.assert_array_equal((ph == 1).sum(axis=(0, 1)), np.prod(spatial))
         np.testing.assert_array_equal((ph == 0).sum(axis=(0, 1)), ph[..., 0].size - np.prod(spatial))
         rng = np.random.default_rng(len(spatial))

