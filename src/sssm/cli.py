@@ -178,7 +178,7 @@ def _cmd_adapt(args) -> int:
         for result in online_adapt(weights, stream, cfg.train, cfg.loss, opt=opt, margin=_margin(cfg)):
             write_pfm(out / f"{result.index:04d}_dl.pfm", result.d_left)
             write_pfm(out / f"{result.index:04d}_dr.pfm", result.d_right)
-            logger.record(result.index, cfg.train.lr_at(result.index), result.report, result.warp_error)
+            logger.record(result.index, cfg.train.lr_at(result.index), result.report)
             steps += 1
     finally:
         logger.close()

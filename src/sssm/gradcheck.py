@@ -252,12 +252,12 @@ def _stereo_checks(seed):
         lambda d=d, i=img: losses.smoothness_loss(d, i, "r", 1),
         [d, img],
     ))
-    il, ir = smooth_image(4, 10), smooth_image(4, 10)
-    dl, dr = kink_free_disp(4, 10, 0, 3), kink_free_disp(4, 10, 0, 3)
+    img, across = smooth_image(4, 10), smooth_image(4, 10)
+    d = kink_free_disp(4, 10, 0, 3)
     checks.append((
         "loop_consistency",
-        lambda: losses.loop_consistency_loss(il, ir, dl, dr, "l", 1),
-        [il, ir, dl, dr],
+        lambda i=img, a=across, d=d: losses.loop_consistency_loss(i, a, d, "l", 1),
+        [img, across, d],
     ))
     d = kink_free_disp(4, 6, 0, 3)
     checks.append(("mdh", lambda d=d: losses.mdh_loss(d, "l", 1), [d]))

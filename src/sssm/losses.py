@@ -5,7 +5,9 @@ horizontally resampling the other view.  The loss compares reconstructions
 with observations (photometric + SSIM + gradient), regularises disparity
 curvature (edge-weighted second-order smoothness), closes the warp loop
 (left -> right -> left must land on the original), and mildly penalises
-disparity magnitude to break the zero-texture ambiguity.
+disparity magnitude to break the zero-texture ambiguity.  Each view is
+warped across once: the loop terms and the reported (not summed) warp
+error reuse the two unary reconstructions.
 
 Per-side border margins exclude the columns where the sampled position
 falls outside the other view for most candidate disparities: the leftmost
@@ -54,7 +56,11 @@ class LossWeights:
 
 @dataclass
 class LossReport:
-    """Scalar values of every term of one loss evaluation (for logging)."""
+    """Scalar values of one loss evaluation (for logging).
+
+    ``total`` sums the eight terms after it.  ``warp_error``, last, is
+    reported, not summed: ``reconstruction_error`` of the same frame.
+    """
 
     total: float
     unary_l: float
@@ -65,10 +71,11 @@ class LossReport:
     loop_r: float
     mdh_l: float
     mdh_r: float
+    warp_error: float
 
     def terms(self) -> dict[str, float]:
-        """Every field but ``total``, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "total"}
+        """The eight summands of ``total``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:-1]}
 
 
 def _validate_warp(source: np.ndarray, disparity: np.ndarray, direction: str) -> None:
@@ -150,8 +157,12 @@ def reconstruction_error(left: np.ndarray, right: np.ndarray,
     The self-supervised analogue of an accuracy metric: how well the
     predicted disparities explain each image from the other one.
     """
-    rec_l = resample_horizontal(right, d_left, TO_LEFT)
-    rec_r = resample_horizontal(left, d_right, TO_RIGHT)
+    return _warp_error(left, right, resample_horizontal(right, d_left, TO_LEFT),
+                       resample_horizontal(left, d_right, TO_RIGHT), margin)
+
+
+def _warp_error(left, right, rec_l, rec_r, margin: int) -> float:
+    """``reconstruction_error`` from the two views' reconstructions."""
     w = left.shape[1]
     if not 0 <= margin < w:
         raise ValueError(f"reconstruction_error: margin {margin} must be in [0, {w})")
@@ -233,23 +244,17 @@ def smoothness_loss(disparity: Tensor, image: Tensor, side: str = "l", margin: i
     return _masked_mean(pixel, side, margin)
 
 
-def loop_consistency_loss(i_left: Tensor, i_right: Tensor, d_left: Tensor, d_right: Tensor,
+def loop_consistency_loss(image: Tensor, across: Tensor, disparity: Tensor,
                           side: str = "l", margin: int = 0) -> Tensor:
-    """Round-trip error: warp one view across and back, compare to itself.
+    """Round-trip error: warp ``across`` back with ``disparity``, compare to ``image``.
 
-    For the left side: the right view is synthesised from the left image
-    with the right disparity, then warped back with the left disparity; the
-    result must match the original left image.
+    ``across`` is ``image`` carried to the other view, which is that view's
+    unary reconstruction: for the left side ``warp(i_left, d_right,
+    TO_RIGHT)``, warped back TO_LEFT with the left disparity; for the right
+    side ``warp(i_right, d_left, TO_LEFT)``, warped back TO_RIGHT.
     """
-    if side == "l":
-        across = warp(i_left, d_right, TO_RIGHT)
-        back = warp(across, d_left, TO_LEFT)
-        ref = i_left
-    else:
-        across = warp(i_right, d_left, TO_LEFT)
-        back = warp(across, d_right, TO_RIGHT)
-        ref = i_right
-    return _masked_mean(ad.abs_(ad.sub(ref, back)), side, margin)
+    back = warp(across, disparity, TO_LEFT if side == "l" else TO_RIGHT)
+    return _masked_mean(ad.abs_(ad.sub(image, back)), side, margin)
 
 
 def mdh_loss(disparity: Tensor, side: str = "l", margin: int = 0) -> Tensor:
@@ -271,8 +276,8 @@ def total_loss(i_left: Tensor, i_right: Tensor, d_left: Tensor, d_right: Tensor,
         "unary_r": unary_loss(i_right, rec_r, weights, "r", margin),
         "smooth_l": smoothness_loss(d_left, i_left, "l", margin),
         "smooth_r": smoothness_loss(d_right, i_right, "r", margin),
-        "loop_l": loop_consistency_loss(i_left, i_right, d_left, d_right, "l", margin),
-        "loop_r": loop_consistency_loss(i_left, i_right, d_left, d_right, "r", margin),
+        "loop_l": loop_consistency_loss(i_left, rec_r, d_left, "l", margin),
+        "loop_r": loop_consistency_loss(i_right, rec_l, d_right, "r", margin),
         "mdh_l": mdh_loss(d_left, "l", margin),
         "mdh_r": mdh_loss(d_right, "r", margin),
     }
@@ -284,4 +289,5 @@ def total_loss(i_left: Tensor, i_right: Tensor, d_left: Tensor, d_right: Tensor,
     total = ad.add(total, ad.scale(both("smooth"), weights.w_smooth))
     total = ad.add(total, ad.scale(both("loop"), weights.w_consistency))
     total = ad.add(total, ad.scale(both("mdh"), weights.w_mdh))
-    return total, LossReport(total=total.item(), **{name: t.item() for name, t in terms.items()})
+    warp_error = _warp_error(i_left.data, i_right.data, rec_l.data, rec_r.data, margin)
+    return total, LossReport(total.item(), **{n: t.item() for n, t in terms.items()}, warp_error=warp_error)

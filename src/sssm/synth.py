@@ -14,6 +14,7 @@ long-range gradients plus a sharp minimum.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,8 @@ def band_limited_texture(rng: np.random.Generator, h: int, w: int,
 
 def constant_field(k: float):
     """Everything shifted by the same amount: the simplest scene."""
-    if k < 0:
-        raise ValueError("constant_field: disparity must be >= 0")
+    if not 0 <= k < math.inf:
+        raise ValueError(f"constant_field: disparity must be finite and >= 0, got {k}")
 
     def build(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
         return np.full((h, w), np.float32(k), dtype=np.float32)
@@ -54,6 +55,8 @@ def constant_field(k: float):
 
 def planar_field(d0: float, du: float, dv: float, d_max: float):
     """An affine ramp d(u, v) = d0 + du*u + dv*v, clipped to [0, d_max]."""
+    if not (all(map(math.isfinite, (d0, du, dv))) and d_max >= 0):
+        raise ValueError(f"planar_field: need finite d0, du, dv and d_max >= 0, got {d0, du, dv, d_max}")
 
     def build(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
         u = np.arange(w, dtype=np.float32)[None, :]
@@ -65,6 +68,8 @@ def planar_field(d0: float, du: float, dv: float, d_max: float):
 
 def split_field(k_left: float, k_right: float):
     """Two constant-depth vertical slabs: a foreground/background step."""
+    if not (0 <= k_left < math.inf and 0 <= k_right < math.inf):
+        raise ValueError(f"split_field: disparities must be finite and >= 0, got {k_left}, {k_right}")
 
     def build(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
         d = np.full((h, w), np.float32(k_left), dtype=np.float32)
@@ -85,7 +90,7 @@ def parse_field_spec(spec: str):
         if kind == "constant":
             if ".." in args:
                 lo, hi = (float(t) for t in args.split(".."))
-                if not 0 <= lo <= hi:
+                if not 0 <= lo <= hi < math.inf:
                     raise ValueError
 
                 def build(rng, h, w):
@@ -128,10 +133,14 @@ def write_dataset(out_dir, count: int, seed: int, h: int, w: int, field_spec: st
 
     Images are quantised to 8-bit on disk, so reconstruction at the true
     disparity is exact only up to quantisation for written datasets.
+    Inputs that cannot work are refused, named, before anything is written.
     """
+    for name, value, least in (("count", count, 1), ("seed", seed, 0), ("height", h, 1), ("width", w, 2)):
+        if value < least:
+            raise ValueError(f"write_dataset: {name} must be >= {least}, got {value}")
+    field = parse_field_spec(field_spec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    field = parse_field_spec(field_spec)
     lines = []
     for i in range(count):
         pair = synth_pair((seed, i), h, w, field)

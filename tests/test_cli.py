@@ -97,6 +97,28 @@ class TestRuntimeErrors:
         assert result.returncode == 1
         assert "wavy" in result.stderr
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--count", "0"], "count"),
+        (["--seed", "-1"], "seed"),
+        (["--field", "split:-2,3"], "split:-2,3"),
+        (["--field", "planar:0,1,0,-1"], "planar:0,1,0,-1"),
+        (["--field", "constant:nan"], "constant:nan"),
+    ])
+    def test_synth_input_that_cannot_work_exits_1_before_writing(self, tmp_path, argv, name):
+        out = tmp_path / "d"
+        result = run_cli("synth", "--out", str(out), "--height", "8", "--width", "12", *argv)
+        assert result.returncode == 1
+        assert name in result.stderr
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_naming_it_before_writing(self, micro_env, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"), "--seed", "-1")
+        assert result.returncode == 1
+        assert "seed must be >= 0" in result.stderr
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_dataset(self, micro_env):

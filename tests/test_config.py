@@ -87,6 +87,7 @@ class TestParse:
         "smooth_converged = -1",
         "smooth_converged = nan",
         "checkpoint_every = -5",
+        "seed = -1",
         "w_photo = nan",
         "lam_ssim = inf",
         "border_margin = -3",

@@ -191,8 +191,10 @@ class TestLoopConsistency:
     def test_zero_disparities_zero_loss(self):
         i_l, i_r = t64(random_image(17)), t64(random_image(18))
         z = t64(np.zeros((6, 10)))
-        assert loop_consistency_loss(i_l, i_r, z, z, "l").item() == pytest.approx(0.0, abs=1e-12)
-        assert loop_consistency_loss(i_l, i_r, z, z, "r").item() == pytest.approx(0.0, abs=1e-12)
+        loop_l = loop_consistency_loss(i_l, warp(i_l, z, TO_RIGHT), z, "l")
+        loop_r = loop_consistency_loss(i_r, warp(i_r, z, TO_LEFT), z, "r")
+        assert loop_l.item() == pytest.approx(0.0, abs=1e-12)
+        assert loop_r.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_constructed_consistent_pair(self):
         # integer constant shift, interior only: the round trip is exact
@@ -200,7 +202,8 @@ class TestLoopConsistency:
         pair = synth_pair(19, 16, 48, constant_field(float(k)))
         d = np.full((16, 48), np.float32(k))
         i_l, i_r = Tensor(pair.left), Tensor(pair.right)
-        loss = loop_consistency_loss(i_l, i_r, Tensor(d), Tensor(d), "l", margin=2 * k)
+        across = warp(i_l, Tensor(d), TO_RIGHT)
+        loss = loop_consistency_loss(i_l, across, Tensor(d), "l", margin=2 * k)
         assert loss.item() < 1e-6
 
 

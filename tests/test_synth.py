@@ -72,7 +72,9 @@ class TestFieldSpec:
     @pytest.mark.parametrize(
         "spec",
         ["gradient:1", "constant:", "constant:6..2", "constant:-1..2",
-         "planar:1,2", "split:1", "constant:abc"],
+         "planar:1,2", "split:1", "constant:abc", "split:-2,3", "split:2,-3", "split:nan,1",
+         "split:1,inf", "planar:0,1,0,-1", "planar:nan,0,0,4", "constant:nan", "constant:inf",
+         "constant:0..inf"],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -153,3 +155,13 @@ class TestWriteDataset:
                                 field_spec="constant:1..3")
         for name in ("0000_left.ppm", "0001_right.ppm", "0000_gt.pgm"):
             assert (a.parent / name).read_bytes() == (b.parent / name).read_bytes()
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"count": 0}, "count"), ({"seed": -1}, "seed"), ({"h": 0}, "height"), ({"w": 1}, "width"),
+        ({"field_spec": "split:-2,3"}, "split:-2,3"),
+    ])
+    def test_input_that_cannot_work_is_refused_before_writing(self, tmp_path, kw, name):
+        args = {"count": 1, "seed": 0, "h": 8, "w": 12, "field_spec": "constant:1", **kw}
+        with pytest.raises(ValueError, match=name):
+            synth.write_dataset(tmp_path / "ds", **args)
+        assert not (tmp_path / "ds").exists()

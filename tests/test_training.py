@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sssm import autodiff, checkpoint, synth
+from sssm import autodiff, checkpoint, losses, synth
 from sssm.autodiff import Tensor, no_grad
 from sssm.data import StereoPair
 from sssm.losses import LossReport, LossWeights, reconstruction_error, total_loss
@@ -294,7 +294,7 @@ class TestTrainStep:
         def poisoned_total_loss(i_l, i_r, d_l, d_r, lw, margin):
             report = LossReport(total=float("nan"), unary_l=float("inf"), unary_r=0.0,
                                 smooth_l=0.0, smooth_r=0.0, loop_l=0.0, loop_r=0.0,
-                                mdh_l=0.0, mdh_r=0.0)
+                                mdh_l=0.0, mdh_r=0.0, warp_error=0.0)
             return (scale(mean_reduce(d_l), 0.0), report)
 
         monkeypatch.setattr(training_mod, "total_loss", poisoned_total_loss)
@@ -351,6 +351,48 @@ class TestTrainStep:
         for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, before[n])
             np.testing.assert_array_equal(opt.acc[n], 0.0)
+
+
+class TestWarpsPerStep:
+    """Each view is warped once per step: the loop terms and the logged
+    warping error reuse the loss's two reconstructions."""
+
+    @pytest.fixture
+    def count_gathers(self, monkeypatch):
+        # synthesising the pairs resamples too, so counting starts when asked
+        calls = []
+        gather = losses._bilinear_gather
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return gather(*args)
+
+        def start():
+            monkeypatch.setattr(losses, "_bilinear_gather", counting)
+            return calls
+
+        return start
+
+    def test_train_step_warps_four_times(self, count_gathers):
+        weights = init_weights(MICRO, seed=0)
+        pair = _micro_pairs(1)[0]
+        gathers = count_gathers()
+        train_step(weights, pair.left, pair.right, _micro_cfg(), LossWeights(),
+                   OptimizerState.fresh(weights), margin=4)
+        assert len(gathers) == 4
+
+    def test_logged_training_iteration_warps_four_times(self, count_gathers, tmp_path):
+        pairs = _micro_pairs()
+        gathers = count_gathers()
+        train_from_scratch(pairs, init_weights(MICRO, seed=0), _micro_cfg(max_iterations=3),
+                           log_path=tmp_path / "loss.csv")
+        assert len(gathers) == 4 * 3
+
+    def test_adapt_step_warps_four_times(self, count_gathers):
+        pairs = _micro_pairs(3)
+        gathers = count_gathers()
+        for i, _ in enumerate(online_adapt(init_weights(MICRO, seed=0), pairs, _micro_cfg())):
+            assert len(gathers) == 4 * (i + 1)
 
 
 class TestTrainFromScratch:
@@ -533,16 +575,26 @@ class TestOnlineAdapt:
             assert result.report == report
         assert calls == [(16, 36, 3)] * 3
 
-    @pytest.mark.parametrize("margin", [None, 2])
-    def test_warp_error_scores_the_emitted_frame(self, margin):
-        # indivisible frames: the warping error scores the emitted
-        # predictions on the full frame
+    @pytest.mark.parametrize("margin, direct", [
+        pytest.param(None, False, id="None"),
+        pytest.param(2, False, id="2"),
+        pytest.param(3, True, id="train_step-3"),
+    ])
+    def test_warp_error_scores_the_emitted_frame(self, margin, direct):
+        # indivisible frames: the warping error that the loss reports scores
+        # the emitted predictions on the full frame, bit for bit
         pairs = [synth.synth_pair((1, i), 15, 33, synth.constant_field(1.5)) for i in range(2)]
         weights = init_weights(MICRO, seed=0)
         m = default_margin(MICRO) if margin is None else margin
-        for pair, result in zip(pairs, online_adapt(weights, pairs, _micro_cfg(), margin=margin)):
-            assert result.warp_error == reconstruction_error(
-                pair.left, pair.right, result.d_left, result.d_right, m)
+        if direct:
+            opt = OptimizerState.fresh(weights)
+            steps = (train_step(weights, p.left, p.right, _micro_cfg(), LossWeights(), opt, m)
+                     for p in pairs)
+        else:
+            steps = ((r.report, r.d_left, r.d_right)
+                     for r in online_adapt(weights, pairs, _micro_cfg(), margin=margin))
+        for pair, (report, d_l, d_r) in zip(pairs, steps):
+            assert report.warp_error == reconstruction_error(pair.left, pair.right, d_l, d_r, m)
 
 
 class TestLossLog:
@@ -553,20 +605,20 @@ class TestLossLog:
     def test_rows_round_trip_through_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         log = LossLog(path)
-        report = self._report(0.7, 0.3)
-        log.record(3, 0.1, report, 1 / 3)
+        report = dataclasses.replace(self._report(0.7, 0.3), warp_error=1 / 3)
+        log.record(3, 0.1, report)
         log.close()
         header, line = path.read_text().splitlines()
         assert header.split(",") == list(LOG_COLUMNS)
         fields = line.split(",")
         assert int(fields[0]) == 3
-        assert [float(f) for f in fields[1:]] == [0.1, *dataclasses.astuple(report), 1 / 3]
+        assert [float(f) for f in fields[1:]] == [0.1, *dataclasses.astuple(report)]
 
     def test_record_fills_every_column(self, tmp_path):
         path = tmp_path / "loss.csv"
         log = LossLog(path)
-        report = self._report()
-        log.record(7, 0.001, report, 0.25)
+        report = dataclasses.replace(self._report(), warp_error=0.25)
+        log.record(7, 0.001, report)
         log.close()
         header, line = path.read_text().splitlines()
         row = dict(zip(header.split(","), line.split(",")))
@@ -578,13 +630,13 @@ class TestLossLog:
     def test_memory_stays_flat_over_many_records(self, tmp_path, to_file):
         # An online-adaptation stream is open-ended: rows go to the file only.
         log = LossLog(tmp_path / "loss.csv" if to_file else None)
-        report = self._report()
-        log.record(0, 0.001, report, 0.25)
+        report = dataclasses.replace(self._report(), warp_error=0.25)
+        log.record(0, 0.001, report)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for i in range(1, 10_001):
-                log.record(i, 0.001, report, 0.25)
+                log.record(i, 0.001, report)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -604,7 +656,7 @@ class TestLossLog:
         header = ",".join(LOG_COLUMNS) + "\n"
         path.write_text(header + "".join(self._row(i) for i in range(5)) + "5,0.")
         log = LossLog(path, resume_at=3)
-        log.record(3, 0.25, self._report(0.25, 0.0), 0.25)
+        log.record(3, 0.25, self._report(0.25, 0.0))
         log.close()
         lines = path.read_text().splitlines(keepends=True)
         assert lines[:4] == [header] + [self._row(i) for i in range(3)]
