@@ -326,36 +326,25 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
     return make_op(a.data + a.data.dtype.type(s), (a,), bwd)
 
 
-def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
+def mean_reduce(a: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over all elements (axis=None, scalar result) or one axis (removed)."""
     if axis is not None:
         axis = int(axis)
         if not -a.data.ndim <= axis < a.data.ndim:
-            raise ValueError(f"reduce: axis {axis} out of range for shape {a.data.shape}")
+            raise ValueError(f"mean_reduce: axis {axis} out of range for shape {a.data.shape}")
         axis = axis % a.data.ndim
     shape = a.data.shape
     n = a.data.size if axis is None else shape[axis]
-    out_data = a.data.mean(axis=axis) if mean else a.data.sum(axis=axis)
+    out_data = a.data.mean(axis=axis)
     if axis is None:
         out_data = np.asarray(out_data, dtype=a.data.dtype)
     sa = sink(a)
 
     def bwd(g):
-        gg = g / n if mean else g
-        if axis is None:
-            accumulate(sa, np.broadcast_to(gg, shape))
-        else:
-            accumulate(sa, np.broadcast_to(np.expand_dims(gg, axis), shape))
+        g = g / n
+        accumulate(sa, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape))
 
     return make_op(out_data, (a,), bwd)
-
-
-def mean_reduce(a: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over all elements (axis=None, scalar result) or one axis (removed)."""
-    return _reduce(a, axis, mean=True)
-
-
-def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
-    return _reduce(a, axis, mean=False)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -387,21 +376,6 @@ def crop(a: Tensor, bounds) -> Tensor:
         accumulate(sa, gx)
 
     return make_op(np.ascontiguousarray(out_data), (a,), bwd)
-
-
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along one axis (max-subtracted)."""
-    axis = int(axis) % a.data.ndim
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-    sa = sink(a)
-
-    def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        accumulate(sa, out_data * (g - dot))
-
-    return make_op(out_data, (a,), bwd)
 
 
 _AXIS_BY_NAME = {"u": 1, "v": 0}

@@ -359,14 +359,28 @@ def res_tdm(f_first: Tensor, f_second: Tensor, direction: str, weights: NetworkW
 def soft_argmin(costs: Tensor) -> Tensor:
     """Differentiable argmin over the trailing disparity axis.
 
-    Low cost means good match, so weights are softmax(-costs); the readout
-    is the expected disparity index, a value in [0, D].
+    Low cost means good match, so the weights are p = softmax(-costs) and
+    the readout is the expected disparity index d = sum_k p_k k, a value in
+    [0, D].  One op: backward applies the closed form
+    dd/dc_k = -p_k (k - d), as -p_k (g k - sum_j g j p_j) for the upstream
+    gradient g, and keeps only p.
     """
     if costs.data.ndim != 3:
         raise ValueError(f"soft_argmin: expected (H, W, D+1) costs, got shape {costs.data.shape}")
-    p = ad.softmax(ad.scale(costs, -1.0), axis=2)
-    idx = Tensor(np.broadcast_to(np.arange(costs.data.shape[2], dtype=costs.data.dtype), costs.data.shape))
-    return ad.sum_reduce(ad.mul(p, idx), axis=2)
+    neg = -costs.data
+    e = np.exp(neg - neg.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    k = np.arange(costs.data.shape[2], dtype=costs.data.dtype)
+    sc = sink(costs)
+
+    def bwd(g):
+        gk = g[:, :, None] * k
+        dot = (gk * p).sum(axis=2, keepdims=True)
+        gk -= dot
+        gk *= p
+        accumulate(sc, np.negative(gk, out=gk))
+
+    return make_op((p * k).sum(axis=2), (costs,), bwd)
 
 
 def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:

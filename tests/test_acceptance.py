@@ -86,7 +86,7 @@ def test_criterion_1_gradient_oracles():
     failed = [r.name for r in results if not r.ok]
     assert not failed, f"failed gradient checks: {failed}"
     names = " ".join(r.name for r in results)
-    for op in ("conv2d", "conv3d", "deconv3d", "softmax", "warp", "ssim",
+    for op in ("conv2d", "conv3d", "deconv3d", "soft_argmin", "warp", "ssim",
                "unary", "smoothness", "loop", "mdh", "total_loss", "pipeline"):
         assert op in names, f"missing a check for {op}"
     assert elapsed < 300.0, f"suite took {elapsed:.0f}s, budget is 300s"

@@ -52,22 +52,9 @@ class TestForwardSemantics:
     def test_mean_reduce_of_ones(self):
         assert ad.mean_reduce(t64(np.ones((4, 4)))).item() == 1.0
 
-    def test_mean_and_sum_reduce_axis(self):
+    def test_mean_reduce_axis(self):
         x = np.arange(12, dtype=np.float64).reshape(3, 4)
         np.testing.assert_allclose(ad.mean_reduce(t64(x), axis=0).data, x.mean(axis=0))
-        np.testing.assert_allclose(ad.sum_reduce(t64(x), axis=1).data, x.sum(axis=1))
-
-    def test_softmax_uniform_input(self):
-        out = ad.softmax(t64(np.zeros((2, 5))), axis=1)
-        np.testing.assert_allclose(out.data, 0.2)
-
-    def test_softmax_two_logits(self):
-        out = ad.softmax(t64([[0.0, 10.0]]), axis=1).data[0]
-        np.testing.assert_allclose(out, [4.539787e-5, 0.9999546], rtol=1e-5)
-
-    def test_softmax_handles_large_inputs(self):
-        out = ad.softmax(t64([[1000.0, 1000.0]]), axis=1)
-        np.testing.assert_allclose(out.data, 0.5)
 
     def test_crop(self):
         x = t64(np.arange(16.0).reshape(4, 4))
@@ -118,11 +105,6 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, [6.0])
 
-    def test_grad_of_sum_is_ones(self):
-        p = Tensor(np.zeros((3, 2)), requires_grad=True, dtype=np.float64)
-        ad.backward(ad.sum_reduce(p))
-        np.testing.assert_array_equal(p.grad, np.ones((3, 2)))
-
     def test_non_scalar_loss_rejected(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError):
@@ -138,21 +120,21 @@ class TestBackward:
 
     def test_shared_leaf_in_two_ops(self):
         x = t64([2.0], requires_grad=True)
-        loss = ad.sum_reduce(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
+        loss = ad.mean_reduce(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
     def test_abs_subgradient_zero_at_zero(self):
         x = t64([-2.0, 0.0, 2.0], requires_grad=True)
-        ad.backward(ad.sum_reduce(ad.abs_(x)))
-        np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
+        ad.backward(ad.mean_reduce(ad.abs_(x)))
+        np.testing.assert_array_equal(x.grad, np.array([-1.0, 0.0, 1.0]) / 3)
 
     def test_no_grad_suspends_recording(self):
         x = t64([1.0], requires_grad=True)
         with no_grad():
             y = ad.mul(x, x)
         assert not y.requires_grad
-        loss = ad.sum_reduce(ad.mul(x, x))
+        loss = ad.mean_reduce(ad.mul(x, x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0])
 
@@ -162,15 +144,15 @@ class TestBackward:
         x = t64([1.0, 2.0], requires_grad=True)
         y = ad.reshape(x, (2, 1))
         z = ad.reshape(x, (2, 1))
-        loss = ad.sum_reduce(ad.add(y, z))
+        loss = ad.mean_reduce(ad.add(y, z))
         ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, np.array([2.0, 2.0]) / 2)
 
     def test_crop_backward_holds_one_full_size_gradient(self):
         # crop's backward scatters into one fresh full-size buffer; the
         # first accumulate must take it as the gradient, not copy it.
         x = t64(np.zeros((512, 512)), requires_grad=True)
-        loss = ad.sum_reduce(ad.crop(x, ((0, 4), (0, 4))))
+        loss = ad.mean_reduce(ad.crop(x, ((0, 4), (0, 4))))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -179,19 +161,19 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * x.data.nbytes
-        assert x.grad.sum() == 16.0
+        assert x.grad.sum() == 16.0 / 16
 
     def test_second_backward_through_freed_graph_raises(self):
         # a graph kept after backward would take the gradient a second time
         x = t64([1.0, 2.0], requires_grad=True)
         y = ad.mul(x, x)
-        loss = ad.sum_reduce(y)
+        loss = ad.mean_reduce(y)
         ad.backward(loss)
         first = x.grad.copy()
         with pytest.raises(RuntimeError, match="freed"):
             ad.backward(loss)
         with pytest.raises(RuntimeError, match="freed"):
-            ad.backward(ad.sum_reduce(ad.scale(y, 2.0)))
+            ad.backward(ad.mean_reduce(ad.scale(y, 2.0)))
         np.testing.assert_array_equal(x.grad, first)
 
     def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self):
@@ -199,11 +181,11 @@ class TestBackward:
         c = t64([3.0, 4.0])
         y = ad.mul(x, c)
         z = ad.relu(y)
-        loss = ad.sum_reduce(z)
+        loss = ad.mean_reduce(z)
         ad.backward(loss)
         for node in (y, z, loss):
             assert node.grad is None and node._node.parents == ()
-        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(x.grad, np.array([3.0, 4.0]) / 2)
         assert c.grad is None  # a constant never gets one
 
     def test_backward_holds_few_gradients_at_once(self):
@@ -213,7 +195,7 @@ class TestBackward:
             y = x
             for _ in range(8):
                 y = ad.relu(y)
-            return ad.sum_reduce(y)
+            return ad.mean_reduce(y)
 
         x = t64(np.ones(1 << 17), requires_grad=True)
         loss = chain(x)
@@ -225,7 +207,7 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < 3 * x.data.nbytes
-        np.testing.assert_array_equal(x.grad, 1.0)
+        np.testing.assert_array_equal(x.grad, 1.0 / x.data.size)
 
     def test_check_finite_toggle(self):
         x = t64([1.0], requires_grad=True)
@@ -248,39 +230,17 @@ class TestReluMask:
         x = np.resize([2.0, 0.0, -1.5, 0.25, -0.0, 3.0, -2.0], shape)
         x = Tensor(x, requires_grad=True, dtype=dtype)
         k = Tensor(np.random.default_rng(len(shape)).standard_normal(shape), dtype=dtype)
-        ad.backward(ad.sum_reduce(ad.mul(ad.relu(x), k)))
+        ad.backward(ad.mean_reduce(ad.mul(ad.relu(x), k)))
         assert x.grad.dtype == dtype
-        np.testing.assert_array_equal(x.grad, np.where(x.data > 0, k.data, 0))
+        # the mean's upstream gradient 1/n, rounded to dtype as backward rounds it
+        g = np.ones((), dtype) / x.data.size
+        np.testing.assert_array_equal(x.grad, np.where(x.data > 0, g * k.data, 0))
 
     @pytest.mark.parametrize("n", [9, 105, 1000])
     def test_closure_holds_one_bit_per_element(self, n):
         y = ad.relu(Tensor(np.linspace(-1, 1, n), requires_grad=True, dtype=np.float64))
         held = [c.cell_contents for c in y._bwd.__closure__]
         assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= -(-n // 8)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    rows=st.integers(1, 4),
-    cols=st.integers(1, 5),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_softmax_rows_sum_to_one(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    x = t64(rng.uniform(-30, 30, size=(rows, cols)))
-    out = ad.softmax(x, axis=1)
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-    assert np.all(out.data >= 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), shift=st.floats(-50, 50))
-def test_softmax_shift_invariance(seed, shift):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-10, 10, size=(3, 6))
-    a = ad.softmax(t64(x), axis=1).data
-    b = ad.softmax(t64(x + shift), axis=1).data
-    np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

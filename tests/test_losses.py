@@ -85,23 +85,25 @@ class TestWarp:
         def fn(dd):
             return float((resample_horizontal(img, dd, TO_LEFT) * proj).sum())
 
-        loss = ad.sum_reduce(ad.mul(warp(t64(img), d, TO_LEFT), t64(proj)))
+        loss = ad.mean_reduce(ad.mul(warp(t64(img), d, TO_LEFT), t64(proj)))
         ad.backward(loss)
+        grad = d.grad * proj.size  # the gradient of the sum, exactly: the size is 64
         h = 1e-6
         for idx in [(0, 3), (2, 5), (3, 7), (1, 1)]:
             dp, dm = dv.copy(), dv.copy()
             dp[idx] += h
             dm[idx] -= h
             num = (fn(dp) - fn(dm)) / (2 * h)
-            np.testing.assert_allclose(d.grad[idx], num, atol=1e-6)
+            np.testing.assert_allclose(grad[idx], num, atol=1e-6)
 
     def test_source_gradient_scatters_bilinear_weights(self):
         src = t64(random_image(6, 2, 5, 1), requires_grad=True)
         d = t64(np.full((2, 5), 0.25))
-        ad.backward(ad.sum_reduce(warp(src, d, TO_LEFT)))
-        # every output reads x0 with weight .75 and x0+1 with .25
+        ad.backward(ad.mean_reduce(warp(src, d, TO_LEFT)))
+        # every output reads x0 with weight .75 and x0+1 with .25, and the
+        # mean weighs each of the 10 outputs by 1/10
         assert src.grad is not None
-        np.testing.assert_allclose(src.grad.sum(), 10.0, atol=1e-9)
+        np.testing.assert_allclose(src.grad.sum() * 10, 10.0, atol=1e-9)
 
 
 class TestSsim:

@@ -175,19 +175,23 @@ class TestFeatureVolume:
             build_feature_volume(f, f, 2, LEFT_TO_RIGHT, 2)  # depth must exceed D
 
     def test_gradient_scatters_back(self):
-        # sum of LR volume: f1 contributes (D+1) times, f2 once per in-range (u, d)
+        # mean of LR volume, times its size: f1 contributes (D+1) times, f2
+        # once per in-range (u, d)
         f1 = Tensor(np.ones((2, 4, 1), np.float32), requires_grad=True)
         f2 = Tensor(np.ones((2, 4, 1), np.float32), requires_grad=True)
         vol = build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT)
-        ad.backward(ad.sum_reduce(vol))
-        np.testing.assert_array_equal(f1.grad, np.full((2, 4, 1), 3.0))
+        ad.backward(ad.mean_reduce(vol))
+        n = vol.data.size
+        np.testing.assert_allclose(f1.grad * n, np.full((2, 4, 1), 3.0), rtol=1e-6)
         # column u of f2 is read at (u, 0), (u+1, 1), (u+2, 2) while in range
-        np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
+        np.testing.assert_allclose(f2.grad[:, :, 0] * n, [[3, 3, 2, 1], [3, 3, 2, 1]], rtol=1e-6)
         # the zero slices of a padded volume send no gradient back
         f1.grad = f2.grad = None
-        ad.backward(ad.sum_reduce(build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT, 4)))
-        np.testing.assert_array_equal(f1.grad, np.full((2, 4, 1), 3.0))
-        np.testing.assert_array_equal(f2.grad[:, :, 0], [[3, 3, 2, 1], [3, 3, 2, 1]])
+        vol = build_feature_volume(f1, f2, 2, LEFT_TO_RIGHT, 4)
+        ad.backward(ad.mean_reduce(vol))
+        n = vol.data.size
+        np.testing.assert_allclose(f1.grad * n, np.full((2, 4, 1), 3.0), rtol=1e-6)
+        np.testing.assert_allclose(f2.grad[:, :, 0] * n, [[3, 3, 2, 1], [3, 3, 2, 1]], rtol=1e-6)
 
 
 class TestVolumeConv:
@@ -207,8 +211,9 @@ class TestVolumeConv:
                 out = conv3d(build_feature_volume(f1, f2, d_max, direction, depth), k, b, stride=2)
             else:
                 out = volume_conv(f1, f2, k, b, d_max, direction, depth)
-            upstream = Tensor(np.random.default_rng(1).standard_normal(out.data.shape), dtype=dtype)
-            ad.backward(ad.sum_reduce(ad.mul(out, upstream)))
+            # scaled by the size, so the mean weighs each output by a standard normal
+            upstream = np.random.default_rng(1).standard_normal(out.data.shape) * out.data.size
+            ad.backward(ad.mean_reduce(ad.mul(out, Tensor(upstream, dtype=dtype))))
             results.append([out.data] + [t.grad for t in inputs])
         return results
 
@@ -482,7 +487,7 @@ class TestGraphMemory:
         # both outputs plus the column-tap plan's and the two grids' Python
         # objects (about 19 KiB); holding either map's phases would add 72 KiB
         assert held - sum(o.data.nbytes for o in outs) < 24 * 2 ** 10
-        ad.backward(ad.add(ad.sum_reduce(outs[0]), ad.sum_reduce(outs[1])))
+        ad.backward(ad.add(ad.mean_reduce(outs[0]), ad.mean_reduce(outs[1])))
         assert f_l.grad is not None and k.grad is not None
 
     def test_volume_conv_pair_backward_peak(self):
@@ -493,7 +498,7 @@ class TestGraphMemory:
         # them as grid rows directly, with one slab at a time, reads 588.
         pair, _ = self._volume_conv_pair()
         outs = pair()
-        loss = ad.add(ad.sum_reduce(outs[0]), ad.sum_reduce(outs[1]))
+        loss = ad.add(ad.mean_reduce(outs[0]), ad.mean_reduce(outs[1]))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
