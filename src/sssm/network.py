@@ -364,13 +364,27 @@ def soft_argmin(costs: Tensor) -> Tensor:
     [0, D].  One op: backward applies the closed form
     dd/dc_k = -p_k (k - d), as -p_k (g k - sum_j g j p_j) for the upstream
     gradient g, and keeps only p.
+
+    Backward sends exactly zero to every cell with p_k < eps / (2n), where
+    eps is the machine epsilon of the costs' dtype and n the length of the
+    disparity axis.  Since |k - d| <= n - 1, such a cell's gradient is at
+    most p_k (n - 1) |g| < eps |g| / 2: under half a unit in the last place
+    of its pixel's own upstream gradient.  All such cells of a pixel
+    together hold under n eps / (2n) = eps / 2 of its probability, under
+    half a unit in the last place of sum_k p_k = 1.  So at this precision
+    they are rounding noise.  Kept, they are not harmless: far enough above
+    its pixel's minimum cost (about 87 in float32 for p_k itself, less for
+    p_k (k - d) g), a cell's gradient is subnormal, and every GEMM of the
+    regulariser's backward that reads it runs several times slower.
     """
     if costs.data.ndim != 3:
         raise ValueError(f"soft_argmin: expected (H, W, D+1) costs, got shape {costs.data.shape}")
     neg = -costs.data
     e = np.exp(neg - neg.max(axis=2, keepdims=True))
     p = e / e.sum(axis=2, keepdims=True)
-    k = np.arange(costs.data.shape[2], dtype=costs.data.dtype)
+    n = costs.data.shape[2]
+    k = np.arange(n, dtype=costs.data.dtype)
+    noise = np.finfo(costs.data.dtype).eps / (2 * n)
     sc = sink(costs)
 
     def bwd(g):
@@ -378,7 +392,9 @@ def soft_argmin(costs: Tensor) -> Tensor:
         dot = (gk * p).sum(axis=2, keepdims=True)
         gk -= dot
         gk *= p
-        accumulate(sc, np.negative(gk, out=gk))
+        np.negative(gk, out=gk)
+        gk[p < noise] = 0
+        accumulate(sc, gk)
 
     return make_op((p * k).sum(axis=2), (costs,), bwd)
 

@@ -316,6 +316,23 @@ class TestSoftArgmin:
         out = soft_argmin(Tensor(c, dtype=np.float64))
         np.testing.assert_allclose(out.data[0, 0], expected, rtol=1e-12)
 
+    def test_records_one_node(self):
+        costs = Tensor(np.zeros((2, 3, 4), np.float32), requires_grad=True)
+        assert soft_argmin(costs)._node.parents == (costs._node,)
+
+    def test_backward_sends_no_subnormal_gradient(self):
+        # float32 probabilities of costs about 90 above a pixel's minimum
+        # are subnormal; their gradient must be exactly zero
+        rng = np.random.default_rng(2)
+        c = rng.uniform(0, 2, (4, 6, 17)).astype(np.float32)
+        c[:, :, 9:] += 90.0
+        costs = Tensor(c, requires_grad=True)
+        upstream = Tensor(rng.standard_normal((4, 6)), dtype=np.float32)
+        ad.backward(ad.mean_reduce(ad.mul(soft_argmin(costs), upstream)))
+        g = np.abs(costs.grad)
+        assert not ((g > 0) & (g < np.finfo(np.float32).tiny)).any()
+        assert (g[:, :, :9] > 0).all()
+
 
 class TestForward:
     def test_shapes_bounds_determinism(self):

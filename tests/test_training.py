@@ -1,6 +1,7 @@
 """Optimiser mechanics, determinism, checkpoint resume, and adaptation."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -393,6 +394,41 @@ class TestWarpsPerStep:
         gathers = count_gathers()
         for i, _ in enumerate(online_adapt(init_weights(MICRO, seed=0), pairs, _micro_cfg())):
             assert len(gathers) == 4 * (i + 1)
+
+
+class TestNoSubnormalGradients:
+    """Subnormal float32 operands slow the backward's GEMMs several times
+    over; at 18 layers and a wide tower, training must not make any."""
+
+    def test_wide_config_three_steps(self, monkeypatch):
+        cfg = NetConfig(feature_layers=18, feature_dim=32, disparity_range=16, restdm_scales=4)
+        field = synth.parse_field_spec("constant:3..8")
+        pairs = [synth.synth_pair((1, i), 32, 64, field) for i in range(3)]
+        weights = init_weights(cfg, seed=0)
+        opt = OptimizerState.fresh(weights)
+        tiny = np.finfo(np.float32).tiny
+        counts = {"elements": 0, "subnormal": 0}
+        accumulate = autodiff.accumulate
+
+        def checking(node, g):
+            if node is not None:
+                a = np.abs(g)
+                counts["elements"] += a.size
+                counts["subnormal"] += int(np.count_nonzero((a > 0) & (a < tiny)))
+            accumulate(node, g)
+
+        # every module that took the name, so the conv kernels' gradients count
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("sssm") and getattr(module, "accumulate", None) is accumulate:
+                monkeypatch.setattr(module, "accumulate", checking)
+        per_step = []
+        for pair in pairs:
+            counts["subnormal"] = 0
+            train_step(weights, pair.left, pair.right, _micro_cfg(crop_height=32, crop_width=64),
+                       LossWeights(), opt, default_margin(cfg))
+            per_step.append(counts["subnormal"])
+        assert counts["elements"] > 0
+        assert per_step == [0, 0, 0]
 
 
 class TestTrainFromScratch:
