@@ -143,10 +143,14 @@ def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None) -> N
     """Write disparity as 16-bit big-endian PGM, quantised to 1/GT_SCALE px.
 
     Invalid pixels store 0.  Valid disparities that quantise to 0 are
-    unrepresentable in this encoding and come back invalid.
+    unrepresentable in this encoding and come back invalid.  A non-finite
+    disparity is refused before the file is opened: stored as 0, it would
+    read back as "no ground truth".
     """
     if values.ndim != 2:
         raise ValueError(f"write_gt_pgm: expected (H, W) disparity, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"write_gt_pgm: {np.count_nonzero(~np.isfinite(values))} non-finite disparities")
     h, w = values.shape
     stored = np.rint(values.astype(np.float64) * GT_SCALE)
     if np.any((stored < 0) | (stored > 65535)):
@@ -160,28 +164,30 @@ def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None) -> N
 
 
 def read_pfm(path) -> np.ndarray:
-    """Load a grayscale PFM ("Pf") as float32 (H, W), top-down rows."""
+    """Load a grayscale PFM ("Pf") as float32 (H, W), top-down rows.
+
+    The scale's sign gives the payload's endianness (negative: little); a
+    zero or non-finite scale has none and is refused.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:2] != b"Pf":
         raise ParseError(path, f"expected Pf magic, got {buf[:2]!r}", 0)
-    tokens, at = _header_tokens(buf, 3, path)
+    tokens, at = _header_tokens(buf, 4, path)
     try:
         w, h = int(tokens[1]), int(tokens[2])
     except ValueError:
-        raise ParseError(path, f"bad PFM dimensions {tokens[1:]}", at) from None
+        raise ParseError(path, f"bad PFM dimensions {tokens[1:3]}", at) from None
     if w < 1 or h < 1:
         raise ParseError(path, f"bad PFM dimensions {w}x{h}", at)
-    # scale line: sign gives endianness
-    rest = buf[at:]
-    nl = rest.find(b"\n")
-    if nl < 0:
-        raise ParseError(path, "truncated PFM scale line", at)
     try:
-        scale = float(rest[:nl].decode("ascii"))
-    except (ValueError, UnicodeDecodeError):
-        raise ParseError(path, f"bad PFM scale {rest[:nl]!r}", at) from None
-    payload = rest[nl + 1:]
+        scale = float(tokens[3])
+    except ValueError:
+        scale = float("nan")
+    if not (np.isfinite(scale) and scale):
+        # the scale token ends one whitespace byte before the payload
+        raise ParseError(path, f"bad PFM scale {tokens[3]!r}", at - 1 - len(tokens[3]))
+    payload = buf[at:]
     need = 4 * w * h
     if len(payload) < need:
         raise ParseError(path, f"payload needs {need} bytes, found {len(payload)}", len(buf))

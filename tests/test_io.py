@@ -160,6 +160,16 @@ class TestGtPgm:
         with pytest.raises(ValueError, match="encodable"):
             imageio.write_gt_pgm(path, np.full((2, 2), -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_write_rejected_before_opening(self, tmp_path, bad):
+        # stored as 0, a NaN would read back as "no ground truth here"
+        path = tmp_path / "gt.pgm"
+        values = np.full((2, 3), 4.0, dtype=np.float32)
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="1 non-finite"):
+            imageio.write_gt_pgm(path, values, np.ones((2, 3), bool))
+        assert not path.exists()
+
     def test_eight_bit_file_rejected(self, tmp_path):
         path = tmp_path / "gt.pgm"
         path.write_bytes(b"P5\n1 1\n255\n\x07")
@@ -205,6 +215,17 @@ class TestPfm:
         payload = np.array([[2.25]], dtype=">f4").tobytes()
         path.write_bytes(b"Pf\n1 1\n1.0\n" + payload)
         np.testing.assert_array_equal(imageio.read_pfm(path), [[2.25]])
+
+    @pytest.mark.parametrize("scale", [b"0.0", b"-0", b"nan", b"inf", b"-inf", b"x1"])
+    def test_scale_without_endianness_rejected_at_its_offset(self, tmp_path, scale):
+        # a zero, non-finite or unreadable scale has no sign to give the
+        # payload's byte order; read as big-endian, 2.25 would come back
+        # as a tiny subnormal
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + np.float32(2.25).tobytes())
+        with pytest.raises(imageio.ParseError, match="bad PFM scale") as exc:
+            imageio.read_pfm(path)
+        assert exc.value.offset == len(b"Pf\n1 1\n")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.pfm"
