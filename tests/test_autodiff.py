@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sssm import autodiff as ad
+from sssm import gradcheck, synth
 from sssm.autodiff import Tensor, no_grad
+from sssm.losses import LossWeights
+from sssm.network import NetConfig, init_weights
+from sssm.training import OptimizerState, TrainConfig, default_margin, train_step
 
 
 def t64(arr, requires_grad=False):
@@ -307,3 +311,42 @@ def test_every_public_op_is_called():
                 used.add(node.name)
     unused = sorted(defined - implicit - allowed - used)
     assert not unused, f"nothing in src/sssm or perfbench calls {unused}"
+
+
+def test_every_op_of_a_training_step_has_its_own_oracle(monkeypatch):
+    """Oracle-coverage guard: every op that a toy ``train_step`` records in
+    the graph is also recorded by some ``gradcheck`` oracle other than the
+    end-to-end ``pipeline`` check, so each backward rule is checked alone.
+
+    An op is named by its backward closure's function, as ``make_op``
+    names it in a non-finite error.
+    """
+    recorded = []
+
+    class Recording(ad.Node):
+        __slots__ = ()
+
+        def __init__(self, dtype, parents=(), bwd=None):
+            super().__init__(dtype, parents, bwd)
+            if bwd is not None:
+                recorded.append(bwd.__qualname__.split(".<locals>")[0])
+
+    def ops_of(fn):
+        recorded.clear()
+        fn()
+        return set(recorded)
+
+    monkeypatch.setattr(ad, "Node", Recording)
+    cfg = NetConfig.toy()
+    weights = init_weights(cfg, seed=0)
+    # a frame the network's scale factor does not divide, so padding and crop run too
+    pair = synth.synth_pair(0, 34, 66, synth.constant_field(4.0))
+    step = ops_of(lambda: train_step(weights, pair.left, pair.right,
+                                     TrainConfig(crop_height=34, crop_width=66), LossWeights(),
+                                     OptimizerState.fresh(weights), default_margin(cfg)))
+    assert {"soft_argmin", "volume_conv", "warp"} <= step
+    covered = set()
+    for name, fn, _, _ in gradcheck.check_table():
+        if name != "pipeline":
+            covered |= ops_of(fn)
+    assert not step - covered, f"only the pipeline oracle exercises {sorted(step - covered)}"
