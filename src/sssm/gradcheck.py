@@ -14,7 +14,6 @@ tensors are probed on a seeded random subset of coordinates.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,17 +290,10 @@ def _pipeline_check(seed):
     return [("pipeline", fn, list(weights.params.values()))]
 
 
-def check_table(seed: int = 0) -> list[tuple[str, Callable[[], Tensor], list[Tensor], int]]:
-    """Every oracle as (name, scalar function, input tensors, coordinate cap).
-
-    Deterministic for a given seed; ``run_suite`` runs exactly this table.
-    """
-    groups = [
-        (_elementwise_checks(seed), 40),
-        (_conv_checks(seed + 100), 40),
-        (_stereo_checks(seed + 200), 40),
-        (_pipeline_check(seed + 300), 8),
-    ]
+def check_table(seed: int = 0) -> list[tuple]:
+    """Every oracle as (name, scalar function, input tensors, coordinate cap); deterministic."""
+    groups = [(_elementwise_checks(seed), 40), (_conv_checks(seed + 100), 40),
+              (_stereo_checks(seed + 200), 40), (_pipeline_check(seed + 300), 8)]
     return [(name, fn, tensors, cap) for checks, cap in groups for name, fn, tensors in checks]
 
 

@@ -143,9 +143,8 @@ def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None) -> N
     """Write disparity as 16-bit big-endian PGM, quantised to 1/GT_SCALE px.
 
     Invalid pixels store 0.  Valid disparities that quantise to 0 are
-    unrepresentable in this encoding and come back invalid.  A non-finite
-    disparity is refused before the file is opened: stored as 0, it would
-    read back as "no ground truth".
+    unrepresentable in this encoding and come back invalid.  Non-finite
+    ones are refused, as storing 0 would mark them "no ground truth".
     """
     if values.ndim != 2:
         raise ValueError(f"write_gt_pgm: expected (H, W) disparity, got shape {values.shape}")
@@ -164,11 +163,8 @@ def write_gt_pgm(path, values: np.ndarray, valid: np.ndarray | None = None) -> N
 
 
 def read_pfm(path) -> np.ndarray:
-    """Load a grayscale PFM ("Pf") as float32 (H, W), top-down rows.
-
-    The scale's sign gives the payload's endianness (negative: little); a
-    zero or non-finite scale has none and is refused.
-    """
+    """Load a grayscale PFM ("Pf") as float32 (H, W), top-down rows.  The
+    scale's sign is the byte order (negative: little), so a zero or non-finite one is refused."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:2] != b"Pf":

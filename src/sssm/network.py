@@ -365,22 +365,17 @@ def soft_argmin(costs: Tensor) -> Tensor:
     dd/dc_k = -p_k (k - d), as -p_k (g k - sum_j g j p_j) for the upstream
     gradient g, and keeps only p.
 
-    Backward sends exactly zero to every cell with p_k < eps / (2n), where
-    eps is the machine epsilon of the costs' dtype and n the length of the
-    disparity axis.  Since |k - d| <= n - 1, such a cell's gradient is at
-    most p_k (n - 1) |g| < eps |g| / 2: under half a unit in the last place
-    of its pixel's own upstream gradient.  All such cells of a pixel
-    together hold under n eps / (2n) = eps / 2 of its probability, under
-    half a unit in the last place of sum_k p_k = 1.  So at this precision
-    they are rounding noise.  Kept, they are not harmless: far enough above
-    its pixel's minimum cost (about 87 in float32 for p_k itself, less for
-    p_k (k - d) g), a cell's gradient is subnormal, and every GEMM of the
-    regulariser's backward that reads it runs several times slower.
+    Backward sends exactly zero where p_k < eps / (2n), for the machine
+    epsilon eps of the costs' dtype and n slices.  As |k - d| <= n - 1, such
+    a cell's gradient is below eps |g| / 2, half an ulp of its pixel's
+    upstream gradient, and a pixel's such cells hold under eps / 2 of its
+    probability: rounding noise.  Kept, they turn subnormal far above the
+    pixel's minimum cost, and every GEMM of the backward that reads them
+    runs several times slower.
     """
     if costs.data.ndim != 3:
         raise ValueError(f"soft_argmin: expected (H, W, D+1) costs, got shape {costs.data.shape}")
-    neg = -costs.data
-    e = np.exp(neg - neg.max(axis=2, keepdims=True))
+    e = np.exp(costs.data.min(axis=2, keepdims=True) - costs.data)
     p = e / e.sum(axis=2, keepdims=True)
     n = costs.data.shape[2]
     k = np.arange(n, dtype=costs.data.dtype)
@@ -389,8 +384,7 @@ def soft_argmin(costs: Tensor) -> Tensor:
 
     def bwd(g):
         gk = g[:, :, None] * k
-        dot = (gk * p).sum(axis=2, keepdims=True)
-        gk -= dot
+        gk -= (gk * p).sum(axis=2, keepdims=True)
         gk *= p
         np.negative(gk, out=gk)
         gk[p < noise] = 0
