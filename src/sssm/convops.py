@@ -36,7 +36,8 @@ Data layouts: images are (H, W, C), volumes are (H, W, D, C).  2D kernels
 are (k, k, Cin, Cout) indexed (dy, dx, cin, cout); 3D kernels are
 (k, k, k, Cin, Cout) indexed (dh, dw, dd, cin, cout).  ``deconv3d`` takes
 the kernel in the same layout as the ``conv3d`` it is the adjoint of, so a
-single weight tensor describes both directions.
+single weight tensor describes both directions.  All three refuse bad
+arguments through one check, ``_refuse``; any stride runs on any extents.
 """
 
 from __future__ import annotations
@@ -242,21 +243,39 @@ def channel_sum(g: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], dtype=g.dtype) @ rows
 
 
+def _refuse(op: str, x: Tensor, kernel: Tensor, bias: Tensor, nd: int, stride: int = 1,
+            transposed: bool = False) -> None:
+    """Refuse, naming ``op``, a wrong input or kernel rank, kernel extents
+    that are even or unequal, a stride below 1, a channel count or bias
+    length that does not match the kernel, and mixed dtypes.  The input has
+    the kernel's Cin channels and the bias Cout, or the other way round for
+    the ``transposed`` op, ``deconv3d``.
+    """
+    if x.data.ndim != nd + 1:
+        raise ValueError(f"{op}: expected ({', '.join('HWD'[:nd])}, C) input, got shape {x.data.shape}")
+    ks = kernel.data.shape
+    if len(ks) != nd + 2 or len(set(ks[:nd])) != 1 or ks[0] % 2 != 1:
+        raise ValueError(f"{op}: expected a ({', '.join('k' * nd)}, Cin, Cout) kernel with k odd, got shape {ks}")
+    if stride < 1:
+        raise ValueError(f"{op}: stride must be >= 1, got {stride}")
+    cin, cout = ks[nd:]
+    takes, makes = (cout, cin) if transposed else (cin, cout)
+    if x.data.shape[-1] != takes:
+        raise ValueError(f"{op}: input has {x.data.shape[-1]} channels, kernel expects {takes}")
+    if bias.data.shape != (makes,):
+        raise ValueError(f"{op}: bias shape {bias.data.shape} != ({makes},)")
+    for t in (kernel, bias):
+        if t.data.dtype != x.data.dtype:
+            raise ValueError(f"{op}: dtype mismatch {x.data.dtype} vs {t.data.dtype}")
+
+
 def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, nd: int) -> Tensor:
-    k = kernel.data.shape[0]
-    cin, cout = kernel.data.shape[-2], kernel.data.shape[-1]
-    if x.data.shape[-1] != cin:
-        raise ValueError(f"conv: input has {x.data.shape[-1]} channels, kernel expects {cin}")
-    if bias.data.shape != (cout,):
-        raise ValueError(f"conv: bias shape {bias.data.shape} != ({cout},)")
-    if x.data.dtype != kernel.data.dtype:
-        raise ValueError(f"conv: dtype mismatch {x.data.dtype} vs {kernel.data.dtype}")
-    grid = _grid(x.data.shape[:-1], (k,) * nd, (stride,) * nd)
-    w = kernel.data.reshape(k ** nd, cin, cout)
+    kshape = kernel.data.shape
+    grid = _grid(x.data.shape[:-1], kshape[:nd], (stride,) * nd)
+    w = kernel.data.reshape(-1, *kshape[nd:])
     out_data = grid.extract(_correlate(grid.phases(x.data), w, grid))
     out_data += bias.data
     sx, sk, sb = sink(x), sink(kernel), sink(bias)
-    kshape = kernel.data.shape
     cached = x.data if sk is not None else None
 
     def bwd(g):
@@ -274,36 +293,18 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, nd: int) -> T
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2D convolution over an (H, W, Cin) tensor with a (k, k, Cin, Cout) kernel.
 
-    Same-padded only: stride 1 preserves dims, stride s gives ceil(n / s).
-    Odd square kernels only.
+    Same-padded: stride 1 preserves dims, stride s gives ceil(n / s).
     """
-    if x.data.ndim != 3:
-        raise ValueError(f"conv2d: expected (H, W, C) input, got shape {x.data.shape}")
-    if kernel.data.ndim != 4 or kernel.data.shape[0] != kernel.data.shape[1]:
-        raise ValueError(f"conv2d: expected (k, k, Cin, Cout) kernel, got shape {kernel.data.shape}")
-    if kernel.data.shape[0] % 2 != 1:
-        raise ValueError(f"conv2d: kernel extent must be odd, got {kernel.data.shape[0]}")
-    if stride < 1:
-        raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
+    _refuse("conv2d", x, kernel, bias, 2, stride)
     return _conv_nd(x, kernel, bias, int(stride), nd=2)
 
 
 def conv3d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """3D convolution over an (H, W, D, Cin) tensor, same-padded.
+    """3D convolution over an (H, W, D, Cin) tensor with a (k, k, k, Cin, Cout) kernel.
 
-    Stride 1 preserves dims; stride 2 requires all three spatial dims to be
-    divisible by 2 and halves them.
+    Same-padded: stride 1 preserves dims, stride s gives ceil(n / s).
     """
-    if x.data.ndim != 4:
-        raise ValueError(f"conv3d: expected (H, W, D, C) input, got shape {x.data.shape}")
-    if kernel.data.ndim != 5 or len({kernel.data.shape[0], kernel.data.shape[1], kernel.data.shape[2]}) != 1:
-        raise ValueError(f"conv3d: expected (k, k, k, Cin, Cout) kernel, got shape {kernel.data.shape}")
-    if stride not in (1, 2):
-        raise ValueError(f"conv3d: stride must be 1 or 2, got {stride}")
-    if stride == 2:
-        bad = [n for n in x.data.shape[:3] if n % 2]
-        if bad:
-            raise ValueError(f"conv3d: stride-2 input dims must be even, got {x.data.shape[:3]}")
+    _refuse("conv3d", x, kernel, bias, 3, stride)
     return _conv_nd(x, kernel, bias, int(stride), nd=3)
 
 
@@ -316,24 +317,13 @@ def deconv3d(y: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     <conv3d(x), y> == <x, deconv3d(y)> with zero biases.  ``bias`` has
     length Cin and is added to the upsampled output.
     """
-    if y.data.ndim != 4:
-        raise ValueError(f"deconv3d: expected (H, W, D, C) input, got shape {y.data.shape}")
-    if kernel.data.ndim != 5:
-        raise ValueError(f"deconv3d: expected (k, k, k, Cin, Cout) kernel, got shape {kernel.data.shape}")
-    k = kernel.data.shape[0]
-    cin, cout = kernel.data.shape[3], kernel.data.shape[4]
-    if y.data.shape[-1] != cout:
-        raise ValueError(f"deconv3d: input has {y.data.shape[-1]} channels, kernel expects {cout}")
-    if bias.data.shape != (cin,):
-        raise ValueError(f"deconv3d: bias shape {bias.data.shape} != ({cin},)")
-    if y.data.dtype != kernel.data.dtype:
-        raise ValueError(f"deconv3d: dtype mismatch {y.data.dtype} vs {kernel.data.dtype}")
-    grid = _grid(tuple(2 * n for n in y.data.shape[:3]), (k,) * 3, (2,) * 3)
-    w = kernel.data.reshape(k ** 3, cin, cout)
+    _refuse("deconv3d", y, kernel, bias, 3, transposed=True)
+    kshape = kernel.data.shape
+    grid = _grid(tuple(2 * n for n in y.data.shape[:3]), kshape[:3], (2,) * 3)
+    w = kernel.data.reshape(-1, *kshape[3:])
     out_data = grid.unphase(_correlate_input(grid.embed(y.data), w, grid))
     out_data += bias.data
     sy, sk, sb = sink(y), sink(kernel), sink(bias)
-    kshape = kernel.data.shape
     cached = y.data if sk is not None else None
 
     def bwd(g):

@@ -142,17 +142,18 @@ class TestConv3d:
                      t64(np.zeros(5)), stride=2)
         assert out.data.shape == (4, 4, 4, 5)
 
-    @pytest.mark.parametrize("seed,stride,cin,cout", [
-        pytest.param(1, 1, 2, 3, id="1"),
-        pytest.param(2, 2, 2, 3, id="2"),
-        pytest.param(3, 1, 1, 1, id="1-1to1"),
-        pytest.param(4, 2, 1, 4, id="2-1to4"),
-        pytest.param(5, 2, 4, 1, id="2-4to1"),
-        pytest.param(6, 2, 5, 3, id="2-5to3"),
+    @pytest.mark.parametrize("seed,stride,cin,cout,spatial", [
+        pytest.param(1, 1, 2, 3, (4, 6, 4), id="1"),
+        pytest.param(2, 2, 2, 3, (4, 6, 4), id="2"),
+        pytest.param(3, 1, 1, 1, (4, 6, 4), id="1-1to1"),
+        pytest.param(4, 2, 1, 4, (4, 6, 4), id="2-1to4"),
+        pytest.param(5, 2, 4, 1, (4, 6, 4), id="2-4to1"),
+        pytest.param(6, 2, 5, 3, (4, 6, 4), id="2-5to3"),
+        pytest.param(7, 3, 2, 3, (5, 7, 5), id="3-odd"),
     ])
-    def test_matches_brute_force(self, seed, stride, cin, cout):
+    def test_matches_brute_force(self, seed, stride, cin, cout, spatial):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((4, 6, 4, cin))
+        x = rng.standard_normal(spatial + (cin,))
         w = rng.standard_normal((3, 3, 3, cin, cout))
         b = rng.standard_normal(cout)
         out = conv3d(t64(x), t64(w), t64(b), stride=stride)
@@ -178,15 +179,6 @@ class TestConv3d:
         assert out.requires_grad
         assert held <= 2 * padded
 
-    def test_stride2_requires_even_dims(self):
-        with pytest.raises(ValueError):
-            conv3d(t64(np.zeros((5, 6, 4, 1))), t64(np.zeros((3, 3, 3, 1, 1))),
-                   t64(np.zeros(1)), stride=2)
-
-    def test_stride3_rejected(self):
-        with pytest.raises(ValueError):
-            conv3d(t64(np.zeros((6, 6, 6, 1))), t64(np.zeros((3, 3, 3, 1, 1))),
-                   t64(np.zeros(1)), stride=3)
 
 
 class TestDeconv3d:
@@ -238,6 +230,54 @@ class TestDeconv3d:
         w, b = (Tensor(np.zeros(s, np.float32)) for s in ((3, 3, 3, 2, 1), (2,)))
         with pytest.raises(ValueError, match="deconv3d: dtype mismatch float64 vs float32"):
             deconv3d(t64(np.zeros((2, 2, 2, 1))), w, b)
+
+
+# A valid call of each conv: input shape, kernel shape, bias length.
+VALID = {"conv2d": (conv2d, (5, 5, 2), (3, 3, 2, 4), 4),
+         "conv3d": (conv3d, (4, 4, 4, 2), (3, 3, 3, 2, 4), 4),
+         "deconv3d": (deconv3d, (2, 2, 2, 4), (3, 3, 3, 2, 4), 2)}
+# Each fault a conv refuses, and the words of its refusal.
+FAULTS = {"input-rank": "input, got shape", "kernel-rank": "kernel with k odd",
+          "even-kernel": "kernel with k odd", "unequal-kernel": "kernel with k odd",
+          "stride": "stride must be >= 1", "channels": "channels", "bias-length": "bias shape",
+          "kernel-dtype": "dtype mismatch", "bias-dtype": "dtype mismatch"}
+
+
+def _call_with(name, fault=None):
+    """``name``'s valid call, with one fault put in."""
+    op, xs, ks, nb = VALID[name]
+    nd, kdtype, bdtype, stride = len(xs) - 1, np.float64, np.float64, 1
+    if fault == "input-rank":
+        xs += (1,)
+    elif fault == "kernel-rank":
+        ks = ks[:1] + ks
+    elif fault == "even-kernel":
+        ks = (2,) * nd + ks[nd:]
+    elif fault == "unequal-kernel":
+        ks = ks[:nd - 1] + (5,) + ks[nd:]
+    elif fault == "stride":
+        stride = 0
+    elif fault == "channels":
+        xs = xs[:-1] + (xs[-1] + 1,)
+    elif fault == "bias-length":
+        nb += 1
+    elif fault == "kernel-dtype":
+        kdtype = np.float32
+    elif fault == "bias-dtype":
+        bdtype = np.float32
+    args = t64(np.zeros(xs)), Tensor(np.zeros(ks), dtype=kdtype), Tensor(np.zeros(nb), dtype=bdtype)
+    return op(*args) if op is deconv3d else op(*args, stride=stride)
+
+
+class TestRefusals:
+    """Every conv refuses the same faults, through one check, by its own name."""
+
+    @pytest.mark.parametrize("name,fault", [(n, f) for n in VALID for f in FAULTS
+                                            if (n, f) != ("deconv3d", "stride")])
+    def test_refused_by_name(self, name, fault):
+        _call_with(name)
+        with pytest.raises(ValueError, match=f"^{name}: .*{FAULTS[fault]}"):
+            _call_with(name, fault)
 
 
 class TestRowBlocks:
