@@ -15,7 +15,8 @@ or a bit mask, never a padded or restacked copy: backward rebuilds such
 layouts from the array it holds.  An array then dies as soon as the
 caller drops its last Tensor, unless backward reads it: ``relu`` keeps
 its output's sign as one bit per element, ``exp`` its output, a conv its
-input, and ``add``, ``reshape`` and ``crop`` keep nothing.  Because
+input, and ``add``, ``reshape``, ``crop`` and ``mean_pool3x3`` (whose box
+is its own adjoint) keep nothing.  Because
 closures share the arrays they hold, a wrapped array is never mutated in
 place while a graph reads it: the optimiser updates parameters only after
 backward, and gradcheck probes coordinates only under ``no_grad``.
@@ -427,39 +428,36 @@ def spatial_gradients(a: Tensor, order: int, axis: str) -> Tensor:
     return make_op(out_data, (a,), bwd)
 
 
+def _box3x3(x: np.ndarray) -> np.ndarray:
+    """Sums of the 3x3 windows over the first two axes, edges replicated.
+
+    One pass per axis adds each line's two neighbours, an edge line standing
+    in for the one it lacks.  A pass's matrix is symmetric (tridiagonal, 2 at
+    both ends of the diagonal), so the whole map is its own adjoint.
+    """
+    for axis in (0, 1):
+        out = x.copy()
+        o, v = np.swapaxes(out, 0, axis), np.swapaxes(x, 0, axis)
+        o[1:] += v[:-1]
+        o[:-1] += v[1:]
+        o[0] += v[0]
+        o[-1] += v[-1]
+        x = out
+    return x
+
+
 def mean_pool3x3(a: Tensor) -> Tensor:
-    """3x3 box mean over the first two axes with edge replication at borders."""
-    if a.data.ndim not in (2, 3):
-        raise ValueError(f"mean_pool3x3: expected 2D or 3D tensor, got shape {a.data.shape}")
-    h, w = a.data.shape[:2]
-    if h < 3 or w < 3:
-        raise ValueError(f"mean_pool3x3: spatial dims must be >= 3, got {(h, w)}")
-    rest = ((0, 0),) * (a.data.ndim - 2)
-    xp = np.pad(a.data, ((1, 1), (1, 1)) + rest, mode="edge")
-    acc = np.zeros_like(a.data)
-    for dy in range(3):
-        for dx in range(3):
-            acc += xp[dy:dy + h, dx:dx + w]
+    """3x3 box mean over the first two axes with edge replication at borders.
+
+    The box is one clamped 3-tap pass per axis (``_box3x3``), its own
+    adjoint, so backward runs the same passes on the gradient.
+    """
+    if a.data.ndim not in (2, 3) or min(a.data.shape[:2]) < 3:
+        raise ValueError(f"mean_pool3x3: expected a 2D or 3D tensor of at least 3x3, got shape {a.data.shape}")
     ninth = a.data.dtype.type(1.0 / 9.0)
-    padded_shape, dtype = xp.shape, xp.dtype
     sa = sink(a)
 
     def bwd(g):
-        gn = g * ninth
-        gp = np.zeros(padded_shape, dtype=dtype)
-        for dy in range(3):
-            for dx in range(3):
-                gp[dy:dy + h, dx:dx + w] += gn
-        gx = np.ascontiguousarray(gp[1:-1, 1:-1])
-        # fold the replicated border rows/cols back onto the edge pixels
-        gx[0, :] += gp[0, 1:-1]
-        gx[-1, :] += gp[-1, 1:-1]
-        gx[:, 0] += gp[1:-1, 0]
-        gx[:, -1] += gp[1:-1, -1]
-        gx[0, 0] += gp[0, 0]
-        gx[0, -1] += gp[0, -1]
-        gx[-1, 0] += gp[-1, 0]
-        gx[-1, -1] += gp[-1, -1]
-        accumulate(sa, gx)
+        accumulate(sa, _box3x3(g) * ninth)
 
-    return make_op(acc * ninth, (a,), bwd)
+    return make_op(_box3x3(a.data) * ninth, (a,), bwd)

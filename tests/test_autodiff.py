@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sssm import autodiff as ad
-from sssm import gradcheck, synth
+from sssm import convops, gradcheck, synth
 from sssm.autodiff import Tensor, no_grad
 from sssm.losses import LossWeights
 from sssm.network import NetConfig, init_weights
@@ -100,6 +100,20 @@ class TestSpatialOps:
         out = ad.mean_pool3x3(t64(x)).data[:, :, 0]
         np.testing.assert_allclose(out[1:4, 1:4], 1 / 9)
         assert out[0].sum() == 0.0
+
+    def test_mean_pool_matches_edge_replicated_box(self):
+        x = np.random.default_rng(6).standard_normal((4, 5, 2))
+        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+        box = sum(xp[dy:dy + 4, dx:dx + 5] for dy in range(3) for dx in range(3)) / 9
+        np.testing.assert_allclose(ad.mean_pool3x3(t64(x)).data, box, rtol=0, atol=1e-15)
+
+    def test_mean_pool_backward_is_adjoint(self):
+        rng = np.random.default_rng(7)
+        x = t64(rng.standard_normal((4, 5, 2)), requires_grad=True)
+        out = ad.mean_pool3x3(x)
+        g = rng.standard_normal(out.data.shape)
+        out._bwd(g)
+        assert float((x.data * x.grad).sum()) == pytest.approx(float((out.data * g).sum()), rel=1e-12)
 
 
 class TestBackward:
@@ -319,9 +333,11 @@ def test_every_op_of_a_training_step_has_its_own_oracle(monkeypatch):
     end-to-end ``pipeline`` check, so each backward rule is checked alone.
 
     An op is named by its backward closure's function, as ``make_op``
-    names it in a non-finite error.
+    names it in a non-finite error, except that ``conv2d`` and ``conv3d``,
+    whose closures are both ``_conv_nd``'s, are told apart by rank.
     """
     recorded = []
+    conv_nd = convops._conv_nd
 
     class Recording(ad.Node):
         __slots__ = ()
@@ -331,12 +347,20 @@ def test_every_op_of_a_training_step_has_its_own_oracle(monkeypatch):
             if bwd is not None:
                 recorded.append(bwd.__qualname__.split(".<locals>")[0])
 
+    def ranked_conv_nd(*args, nd):
+        out = conv_nd(*args, nd=nd)
+        if out.requires_grad:
+            assert recorded[-1] == "_conv_nd"
+            recorded[-1] = f"conv{nd}d"
+        return out
+
     def ops_of(fn):
         recorded.clear()
         fn()
         return set(recorded)
 
     monkeypatch.setattr(ad, "Node", Recording)
+    monkeypatch.setattr(convops, "_conv_nd", ranked_conv_nd)
     cfg = NetConfig.toy()
     weights = init_weights(cfg, seed=0)
     # a frame the network's scale factor does not divide, so padding and crop run too
@@ -344,7 +368,7 @@ def test_every_op_of_a_training_step_has_its_own_oracle(monkeypatch):
     step = ops_of(lambda: train_step(weights, pair.left, pair.right,
                                      TrainConfig(crop_height=34, crop_width=66), LossWeights(),
                                      OptimizerState.fresh(weights), default_margin(cfg)))
-    assert {"soft_argmin", "volume_conv", "warp"} <= step
+    assert {"conv2d", "conv3d", "soft_argmin", "volume_conv", "warp"} <= step
     covered = set()
     for name, fn, _, _ in gradcheck.check_table():
         if name != "pipeline":
