@@ -11,7 +11,7 @@ from dataclasses import fields, make_dataclass
 
 import numpy as np
 
-from .data import DisparityGT, StereoPair
+from .data import DisparityGT
 from .losses import reconstruction_error
 
 D1_THRESHOLDS = ((0.5, False), (1.0, False), (3.0, True))
@@ -52,11 +52,6 @@ def epe(predicted: np.ndarray, gt: DisparityGT) -> float:
     """Mean absolute disparity error over valid pixels."""
     err, valid = _valid_errors(predicted, gt)
     return float(err[valid].mean())
-
-
-def warping_error(pair: StereoPair, d_left: np.ndarray, d_right: np.ndarray, margin: int = 0) -> float:
-    """Mean absolute photometric error of warping each view from the other."""
-    return reconstruction_error(pair.left, pair.right, d_left, d_right, margin)
 
 
 class _EvalReportBase:
@@ -111,7 +106,7 @@ def evaluate(entries, margin: int = 0) -> EvalReport:
         err_sum += float(err[valid].sum())
         for j, (thr, rel) in enumerate(D1_THRESHOLDS):
             bad_counts[j] += int(_bad_pixels(err, pair.gt, thr, rel)[valid].sum())
-        warp_sum += warping_error(pair, d_left, d_right, margin)
+        warp_sum += reconstruction_error(pair.left, pair.right, d_left, d_right, margin)
         n += 1
     if n == 0:
         raise ValueError("evaluate: empty evaluation set")

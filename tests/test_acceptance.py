@@ -34,11 +34,11 @@ from sssm.losses import (
     TO_RIGHT,
     LossWeights,
     loop_consistency_loss,
+    reconstruction_error,
     smoothness_loss,
     total_loss,
     warp,
 )
-from sssm.metrics import warping_error
 from sssm.network import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -263,7 +263,7 @@ def _mean_warp(weights, pairs):
     values = []
     for pair in pairs:
         d_l, d_r = infer(weights, pair)
-        values.append(warping_error(pair, d_l, d_r, MARGIN))
+        values.append(reconstruction_error(pair.left, pair.right, d_l, d_r, MARGIN))
     return float(np.mean(values))
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from sssm import synth
 from sssm.data import DisparityGT, StereoPair
-from sssm.metrics import EvalReport, d1_error, epe, evaluate, warping_error
+from sssm.losses import reconstruction_error
+from sssm.metrics import EvalReport, d1_error, epe, evaluate
 
 
 def _gt(values, valid=None):
@@ -104,24 +105,25 @@ class TestWarpingError:
         img = synth.band_limited_texture(np.random.default_rng(0), 10, 14)
         pair = StereoPair(left=img, right=img.copy())
         zeros = np.zeros((10, 14), dtype=np.float32)
-        assert warping_error(pair, zeros, zeros) == pytest.approx(0.0, abs=1e-7)
+        assert reconstruction_error(pair.left, pair.right, zeros, zeros) == pytest.approx(0.0, abs=1e-7)
 
     def test_small_at_true_disparity_on_synthetic_pair(self):
         pair = synth.synth_pair(3, 16, 40, synth.constant_field(4.0))
         d = np.full((16, 40), 4.0, dtype=np.float32)
-        assert warping_error(pair, d, d, margin=4) < 1e-3
+        assert reconstruction_error(pair.left, pair.right, d, d, margin=4) < 1e-3
 
     def test_wrong_disparity_scores_worse(self):
         pair = synth.synth_pair(3, 16, 40, synth.constant_field(4.0))
         good = np.full((16, 40), 4.0, dtype=np.float32)
         bad = np.full((16, 40), 9.0, dtype=np.float32)
-        assert warping_error(pair, bad, bad, margin=9) > 10 * warping_error(pair, good, good, margin=9)
+        assert (reconstruction_error(pair.left, pair.right, bad, bad, margin=9)
+                > 10 * reconstruction_error(pair.left, pair.right, good, good, margin=9))
 
     def test_needs_no_ground_truth(self):
         img = synth.band_limited_texture(np.random.default_rng(1), 8, 12)
         pair = StereoPair(left=img, right=img.copy())
         zeros = np.zeros((8, 12), dtype=np.float32)
-        warping_error(pair, zeros, zeros)  # must not raise
+        reconstruction_error(pair.left, pair.right, zeros, zeros)  # must not raise
 
 
 class TestEvaluate:
