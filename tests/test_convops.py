@@ -180,7 +180,6 @@ class TestConv3d:
         assert held <= 2 * padded
 
 
-
 class TestDeconv3d:
     def test_doubles_dims(self):
         out = deconv3d(t64(np.zeros((4, 4, 4, 6))), t64(np.zeros((3, 3, 3, 2, 6))),
