@@ -16,7 +16,10 @@ layouts from the array it holds.  An array then dies as soon as the
 caller drops its last Tensor, unless backward reads it: ``relu`` keeps
 its output's sign as one bit per element, ``exp`` its output, a conv its
 input, and ``add``, ``reshape``, ``crop`` and ``mean_pool3x3`` (whose box
-is its own adjoint) keep nothing.  Because
+is its own adjoint) keep nothing.  A segment run through ``checkpoint``
+holds only its inputs, the input array and each parameter's array and
+node: none of its activations exist between forward and backward, because
+backward rebuilds them by running the segment again.  Because
 closures share the arrays they hold, a wrapped array is never mutated in
 place while a graph reads it: the optimiser updates parameters only after
 backward, and gradcheck probes coordinates only under ``no_grad``.
@@ -136,6 +139,13 @@ def sink(t: Tensor) -> Node | None:
     return t._node if _grad_enabled else None
 
 
+def _leaf(data: np.ndarray, node: Node | None) -> Tensor:
+    """A Tensor around ``data`` and ``node`` as they are, without a copy."""
+    t = Tensor.__new__(Tensor)
+    t.data, t._node = data, node
+    return t
+
+
 def make_op(data: np.ndarray, parents: tuple, bwd) -> Tensor:
     """Wrap an op result, recording ``bwd`` if any parent needs gradients.
 
@@ -147,14 +157,8 @@ def make_op(data: np.ndarray, parents: tuple, bwd) -> Tensor:
     if _check_finite and not np.all(np.isfinite(data)):
         op = bwd.__qualname__.split(".<locals>")[0]
         raise FloatingPointError(f"non-finite values in {op} output of shape {data.shape}")
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out._node = None
-    if _grad_enabled:
-        links = tuple(p._node for p in parents if p._node is not None)
-        if links:
-            out._node = Node(data.dtype, links, bwd)
-    return out
+    links = tuple(p._node for p in parents if p._node is not None) if _grad_enabled else ()
+    return _leaf(data, Node(data.dtype, links, bwd) if links else None)
 
 
 def accumulate(node: Node | None, g) -> None:
@@ -186,6 +190,13 @@ def backward(loss: Tensor) -> None:
     root = loss._node
     if root is None:
         return
+    if root.grad is None:
+        root.grad = np.ones_like(loss.data)
+    _walk(root)
+
+
+def _walk(root: Node) -> None:
+    """Run every closure that ``root``'s gradient reaches, in reverse topological order."""
     topo = []
     seen = set()
     stack = [(root, False)]
@@ -201,13 +212,40 @@ def backward(loss: Tensor) -> None:
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    if root.grad is None:
-        root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node.bwd is not None and node.grad is not None:
             node.bwd(node.grad)
             node.grad, node.bwd, node.parents = None, _freed, ()
+
+
+def checkpoint(fn, x: Tensor, params: dict) -> Tensor:
+    """``fn(x, params)`` as one op that holds none of the segment's activations.
+
+    ``params`` maps names to the leaf Tensors ``fn`` reads.  The forward runs
+    under ``no_grad``; the node keeps ``x``'s array and each parameter's array
+    and node.  Backward rebuilds the leaves from those, runs ``fn`` again
+    with recording on (from a fresh leaf when ``x`` needs a gradient), and
+    walks the rebuilt graph from the incoming gradient, so the parameters'
+    gradients reach their own nodes.  ``fn`` must be deterministic.  When no
+    gradient can flow, this is ``fn(x, params)``.
+    """
+    sx = sink(x)
+    held = {name: (t.data, sink(t)) for name, t in params.items()}
+    if sx is None and all(node is None for _, node in held.values()):
+        return fn(x, params)
+    x_data = x.data
+    with no_grad():
+        out_data = fn(x, params).data
+
+    def bwd(g):
+        leaf = _leaf(x_data, None if sx is None else Node(x_data.dtype))
+        out = fn(leaf, {name: _leaf(data, node) for name, (data, node) in held.items()})
+        out._node.grad = g
+        _walk(out._node)
+        accumulate(sx, leaf.grad)
+
+    return make_op(out_data, (x, *params.values()), bwd)
 
 
 def _check_same(a: Tensor, b: Tensor, opname: str) -> None:

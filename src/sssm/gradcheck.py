@@ -198,6 +198,15 @@ def _conv_checks(seed):
     checks.append(("deconv3d_d_shortest", lambda y=y, k=k, b=b: _project(deconv3d(y, k, b)), [y, k, b]))
     x, k, b = _t(rng, 7, 4, 2), _t(rng, 3, 3, 2, 3), _t(rng, 3)
     checks.append(("conv2d_s1_tall", lambda x=x, k=k, b=b: _project(conv2d(x, k, b)), [x, k, b]))
+    # A recomputed segment, its input included: the gradient's path to x
+    # runs through the fresh leaf that backward rebuilds.
+    x = _t(rng, 5, 6, 2)
+    p = {"k1": _t(rng, 3, 3, 2, 3), "b1": _t(rng, 3), "k2": _t(rng, 3, 3, 3, 2), "b2": _t(rng, 2)}
+
+    def segment(x, p):
+        return ad.relu(conv2d(ad.relu(conv2d(x, p["k1"], p["b1"])), p["k2"], p["b2"]))
+
+    checks.append(("checkpoint", lambda x=x, p=p: _project(ad.checkpoint(segment, x, p)), [x, *p.values()]))
     return checks
 
 

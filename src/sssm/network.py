@@ -114,6 +114,9 @@ def extract_features(image: Tensor, weights: NetworkWeights) -> Tensor:
 
     The first block has no skip (its input is the 3-channel image, the
     output has feature_dim channels).  Output is (H, W, feature_dim).
+    Called directly, it records every conv and relu; ``forward`` runs it
+    through ``autodiff.checkpoint``, which records one node per view and
+    runs the tower again in backward.
     """
     cfg = weights.config
     if image.data.ndim != 3 or image.data.shape[2] != 3:
@@ -402,6 +405,12 @@ def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
     feature maps, so no volume is materialised; its costs carry zero
     slices up to the nearest multiple on the disparity axis and are cropped
     back here, so any disparity_range works.
+
+    Each view's feature tower runs through ``autodiff.checkpoint``: its
+    conv inputs and relu masks are not held while the rest of the step
+    runs, and backward recomputes them one view at a time, after the
+    regulariser's and the losses' arrays are gone.  Under ``no_grad`` the
+    tower runs once, as a plain call.
     """
     cfg = weights.config
     i_l = left if isinstance(left, Tensor) else Tensor(left)
@@ -415,8 +424,13 @@ def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
         )
     if cfg.disparity_range >= w:
         raise ValueError(f"forward: disparity_range {cfg.disparity_range} must be < W={w}")
-    f_l = extract_features(i_l, weights)
-    f_r = extract_features(i_r, weights)
+    tower = {name: t for name, t in weights.params.items() if name.startswith("feat/")}
+
+    def features(image, params):
+        return extract_features(image, NetworkWeights(cfg, params))
+
+    f_l = ad.checkpoint(features, i_l, tower)
+    f_r = ad.checkpoint(features, i_r, tower)
     dp1 = cfg.disparity_range + 1
     out = []
     for first, second, direction in ((f_l, f_r, LEFT_TO_RIGHT), (f_r, f_l, RIGHT_TO_LEFT)):

@@ -112,13 +112,25 @@ class OptimizerState:
         return cls(acc={name: np.zeros_like(t.data) for name, t in weights.params.items()})
 
     def step(self, weights: NetworkWeights, lr: float) -> None:
-        """acc <- decay*acc + (1-decay)*g^2;  p <- p - lr * g / sqrt(acc + eps)."""
+        """acc <- decay*acc + (1-decay)*g^2;  p <- p - lr * g / sqrt(acc + eps).
+
+        In place, through two scratch arrays per parameter, in the order
+        ((1-decay)*g)*g and (lr*g) / sqrt(acc + eps).  The gradient is only
+        read: it may alias another node's gradient or an upstream buffer.
+        """
         for name, t in weights.params.items():
             g = t.grad
             a = self.acc[name]
+            s, root = np.empty_like(a), np.empty_like(a)
             a *= a.dtype.type(RMSPROP_DECAY)
-            a += a.dtype.type(1.0 - RMSPROP_DECAY) * g * g
-            t.data -= t.data.dtype.type(lr) * g / np.sqrt(a + a.dtype.type(RMSPROP_EPS))
+            np.multiply(g, a.dtype.type(1.0 - RMSPROP_DECAY), out=s)
+            s *= g
+            a += s
+            np.add(a, a.dtype.type(RMSPROP_EPS), out=root)
+            np.sqrt(root, out=root)
+            np.multiply(g, t.data.dtype.type(lr), out=s)
+            s /= root
+            t.data -= s
 
 
 def save_checkpoint(path, weights: NetworkWeights, opt: OptimizerState) -> None:

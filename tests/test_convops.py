@@ -35,14 +35,15 @@ def brute_conv2d(x, w, b, stride=1):
 
 
 def brute_conv3d(x, w, b, stride=1):
+    """Nested-loop reference, same-padding as ``brute_conv2d``."""
     k = w.shape[0]
     cout = w.shape[4]
     dims = [-(-n // stride) for n in x.shape[:3]]
-    pb = (k - 1) // 2
     pads = []
     for n, o in zip(x.shape[:3], dims):
-        need = (o - 1) * stride + k - n
-        pads.append((pb, max(0, need - pb)))
+        total = max(0, (o - 1) * stride + k - n)
+        before = min((k - 1) // 2, total)
+        pads.append((before, total - before))
     xp = np.pad(x, pads + [(0, 0)])
     out = np.zeros(tuple(dims) + (cout,))
     for i in range(dims[0]):
@@ -150,6 +151,7 @@ class TestConv3d:
         pytest.param(5, 2, 4, 1, (4, 6, 4), id="2-4to1"),
         pytest.param(6, 2, 5, 3, (4, 6, 4), id="2-5to3"),
         pytest.param(7, 3, 2, 3, (5, 7, 5), id="3-odd"),
+        pytest.param(8, 3, 2, 3, (6, 6, 6), id="3-no-pad-before"),
     ])
     def test_matches_brute_force(self, seed, stride, cin, cout, spatial):
         rng = np.random.default_rng(seed)

@@ -106,6 +106,27 @@ class TestOptimizerStep:
         for n, t in weights.params.items():
             np.testing.assert_array_equal(t.data, before[n])
 
+    def test_in_place_step_equals_the_formula_and_leaves_gradients_alone(self):
+        weights = init_weights(MICRO, seed=2)
+        rng = np.random.default_rng(2)
+        opt = OptimizerState.fresh(weights)
+        for name, t in weights.params.items():
+            t.grad = rng.standard_normal(t.data.shape).astype(np.float32)
+            opt.acc[name][...] = rng.uniform(0.0, 2.0, t.data.shape)
+        lr = np.float32(3e-3)
+        grads = {n: t.grad.copy() for n, t in weights.params.items()}
+        expected = {}
+        for name, t in weights.params.items():
+            g, a = grads[name], opt.acc[name] * np.float32(0.9)
+            a = a + np.float32(0.1) * g * g
+            expected[name] = (a, t.data - lr * g / np.sqrt(a + np.float32(1e-8)))
+        opt.step(weights, float(lr))
+        for name, t in weights.params.items():
+            a, p = expected[name]
+            assert opt.acc[name].tobytes() == a.tobytes(), name
+            assert t.data.tobytes() == p.tobytes(), name
+            assert t.grad.tobytes() == grads[name].tobytes(), name
+
 
 def _save(path, weights, **records):
     """A checkpoint of ``weights`` and a fresh optimizer, with some records
