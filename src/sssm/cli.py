@@ -112,6 +112,21 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _load_trained(args):
+    """(config, manifest, weights, --out) of an adapt or infer run; --out is made once the checkpoint loads."""
+    from .data import DatasetManifest
+    from .network import init_weights
+    from .training import load_checkpoint
+
+    cfg = _load_config(args)
+    manifest = DatasetManifest.load(args.manifest)
+    weights = init_weights(cfg.net, seed=cfg.train.seed)
+    load_checkpoint(_require_file(args.checkpoint, "checkpoint"), weights)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, manifest, weights, out
+
+
 def _cmd_train(args) -> int:
     from dataclasses import replace
 
@@ -157,20 +172,13 @@ def _adapt_stream(manifest, iterations):
 
 
 def _cmd_adapt(args) -> int:
-    from .data import DatasetManifest
     from .imageio import write_pfm
-    from .network import init_weights
-    from .training import LossLog, OptimizerState, load_checkpoint, online_adapt, save_checkpoint
+    from .training import LossLog, OptimizerState, online_adapt, save_checkpoint
 
     if args.iterations is not None and args.iterations < 1:
         raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
-    cfg = _load_config(args)
-    manifest = DatasetManifest.load(args.manifest)
-    weights = init_weights(cfg.net, seed=cfg.train.seed)
-    load_checkpoint(_require_file(args.checkpoint, "checkpoint"), weights)
+    cfg, manifest, weights, out = _load_trained(args)
     opt = OptimizerState.fresh(weights)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     logger = LossLog(out / "adapt_log.csv")
     stream = _adapt_stream(manifest, args.iterations)
     steps = 0
@@ -189,17 +197,10 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .data import DatasetManifest
     from .imageio import write_pfm
-    from .network import init_weights
-    from .training import infer, load_checkpoint
+    from .training import infer
 
-    cfg = _load_config(args)
-    manifest = DatasetManifest.load(args.manifest)
-    weights = init_weights(cfg.net, seed=cfg.train.seed)
-    load_checkpoint(_require_file(args.checkpoint, "checkpoint"), weights)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _, manifest, weights, out = _load_trained(args)
     for i in range(len(manifest)):
         pair = manifest.load_pair(i)
         d_l, d_r = infer(weights, pair)

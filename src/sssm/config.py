@@ -1,9 +1,9 @@
 """Run configuration: one flat key = value text format for everything.
 
 Lines look like ``feature_dim = 16``; '#' starts a comment, blank lines are
-skipped.  Unknown keys are hard errors so a typo cannot silently train the
-wrong model.  ``border_margin`` is the only optional-semantics key: absent
-means "use the disparity search range".
+skipped.  Unknown keys and keys given twice are hard errors so a typo cannot
+silently train the wrong model.  ``border_margin`` is the only
+optional-semantics key: absent means "use the disparity search range".
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ def parse_run_config(text: str, base: RunConfig | None = None, source: str = "co
     cfg = base or RunConfig.default()
     kw = {section: {} for section, _ in _KEYS.values()}
     margin = cfg.border_margin
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +64,9 @@ def parse_run_config(text: str, base: RunConfig | None = None, source: str = "co
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key or not value:
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        if key in seen:
+            raise ValueError(f"{source}:{lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             if key == "border_margin":
                 margin = int(value)

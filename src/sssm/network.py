@@ -329,8 +329,9 @@ def res_tdm(f_first: Tensor, f_second: Tensor, direction: str, weights: NetworkW
     upsample.  The last upsample projects to a single cost per cell with no
     activation, so costs may be negative.
 
-    Output shape (H, W, depth): one matching cost per candidate disparity,
-    padded slices included.
+    Output shape (H, W, D+1): one matching cost per candidate disparity; the
+    padded depth slices are cropped off here.  H and W must be multiples of
+    2^scales: ``forward`` pads a frame of any other size before it gets here.
     """
     cfg = weights.config
     params = weights.params
@@ -356,7 +357,8 @@ def res_tdm(f_first: Tensor, f_second: Tensor, direction: str, weights: NetworkW
         up = ad.relu(deconv3d(up, params[f"tdm/dc{i}/w"], params[f"tdm/dc{i}/b"]))
         up = ad.add(up, residuals[i - 1])
     costs = deconv3d(up, params["tdm/dc1/w"], params["tdm/dc1/b"])
-    return ad.reshape(costs, costs.data.shape[:3])
+    costs = ad.reshape(costs, costs.data.shape[:3])
+    return ad.crop(costs, (None, None, (0, dp1))) if depth > dp1 else costs
 
 
 def soft_argmin(costs: Tensor) -> Tensor:
@@ -397,14 +399,15 @@ def soft_argmin(costs: Tensor) -> Tensor:
 
 
 def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
-    """Predict (d_left, d_right) for a rectified pair, sharing all weights.
+    """Predict (d_left, d_right) for a rectified pair of any size, sharing all weights.
 
-    Accepts ndarrays or Tensors.  Requires H and W divisible by
-    2^restdm_scales (``training`` pads arbitrary sizes).  ``res_tdm``
-    regularises each direction's matching volume straight from the two
-    feature maps, so no volume is materialised; its costs carry zero
-    slices up to the nearest multiple on the disparity axis and are cropped
-    back here, so any disparity_range works.
+    Accepts ndarrays or Tensors that take no gradient.  This is the one frame
+    policy: a frame whose H or W is not a multiple of 2^restdm_scales is
+    edge-padded at the bottom and right, run through ``forward`` itself, and
+    both maps are cropped back to the frame, so a loss on them covers the
+    frame and never the padding.  ``res_tdm`` regularises each direction's
+    matching volume straight from the two feature maps, so no volume is
+    materialised, and returns D+1 cost slices, so any disparity_range works.
 
     Each view's feature tower runs through ``autodiff.checkpoint``: its
     conv inputs and relu masks are not held while the rest of the step
@@ -417,11 +420,14 @@ def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
     i_r = right if isinstance(right, Tensor) else Tensor(right)
     if i_l.data.shape != i_r.data.shape:
         raise ValueError(f"forward: left {i_l.data.shape} vs right {i_r.data.shape}")
-    h, w = i_l.data.shape[:2]
-    if h % cfg.scale_factor or w % cfg.scale_factor:
-        raise ValueError(
-            f"forward: image dims {(h, w)} must be divisible by {cfg.scale_factor}; pad upstream"
-        )
+    if i_l.requires_grad or i_r.requires_grad:
+        raise ValueError("forward: an image that takes a gradient cannot be padded; pass its values")
+    (h, w), sf = i_l.data.shape[:2], cfg.scale_factor
+    if h % sf or w % sf:
+        pads = ((0, -h % sf), (0, -w % sf), (0, 0))
+        d_l, d_r = forward(np.pad(i_l.data, pads, mode="edge"), np.pad(i_r.data, pads, mode="edge"),
+                           weights)
+        return ad.crop(d_l, ((0, h), (0, w))), ad.crop(d_r, ((0, h), (0, w)))
     if cfg.disparity_range >= w:
         raise ValueError(f"forward: disparity_range {cfg.disparity_range} must be < W={w}")
     tower = {name: t for name, t in weights.params.items() if name.startswith("feat/")}
@@ -431,11 +437,5 @@ def forward(left, right, weights: NetworkWeights) -> tuple[Tensor, Tensor]:
 
     f_l = ad.checkpoint(features, i_l, tower)
     f_r = ad.checkpoint(features, i_r, tower)
-    dp1 = cfg.disparity_range + 1
-    out = []
-    for first, second, direction in ((f_l, f_r, LEFT_TO_RIGHT), (f_r, f_l, RIGHT_TO_LEFT)):
-        costs = res_tdm(first, second, direction, weights)
-        if costs.data.shape[2] > dp1:
-            costs = ad.crop(costs, (None, None, (0, dp1)))
-        out.append(soft_argmin(costs))
-    return out[0], out[1]
+    return (soft_argmin(res_tdm(f_l, f_r, LEFT_TO_RIGHT, weights)),
+            soft_argmin(res_tdm(f_r, f_l, RIGHT_TO_LEFT, weights)))

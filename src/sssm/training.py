@@ -4,9 +4,9 @@ One iteration is: sample a pair and a crop, run the network on both views,
 evaluate the warping losses, backpropagate, apply one RMSProp update.
 Batch size is one pair by design.
 
-``infer``, ``train_step`` and ``online_adapt`` share one frame policy: a
-frame of any size is edge-padded up to the network's scale factor and both
-disparity maps are cropped back, so predictions and losses cover the frame.
+``infer``, ``train_step`` and ``online_adapt`` take frames of any size:
+``network.forward`` owns the frame policy, so predictions and losses cover
+the frame.
 
 Determinism contract: the RNG for iteration i is seeded with (seed, i), so
 a run is a pure function of (seed, initial weights, dataset) and resuming
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff, checkpoint
-from .autodiff import Tensor, crop, no_grad
+from .autodiff import Tensor, no_grad
 from .data import StereoPair
 # reconstruction_error is not called here: perfbench's traced run times it under this name
 from .losses import LossReport, LossWeights, reconstruction_error, total_loss
@@ -186,17 +186,6 @@ def load_checkpoint(path, weights: NetworkWeights) -> OptimizerState:
                           iteration=int(counter[0]))
 
 
-def _forward_frame(weights: NetworkWeights, left, right) -> tuple[Tensor, Tensor]:
-    """Both disparity maps of a frame by the frame policy; divisible frames go straight through."""
-    h, w = left.shape[:2]
-    sf = weights.config.scale_factor
-    if not (h % sf or w % sf):
-        return forward(left, right, weights)
-    pads = ((0, -h % sf), (0, -w % sf), (0, 0))
-    d_l, d_r = forward(np.pad(left, pads, mode="edge"), np.pad(right, pads, mode="edge"), weights)
-    return crop(d_l, ((0, h), (0, w))), crop(d_r, ((0, h), (0, w)))
-
-
 def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
                cfg: TrainConfig, lw: LossWeights, opt: OptimizerState,
                margin: int) -> tuple[LossReport, np.ndarray, np.ndarray]:
@@ -214,7 +203,7 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
     params = weights.params
     for t in params.values():
         t.grad = None
-    d_l, d_r = _forward_frame(weights, left, right)
+    d_l, d_r = forward(left, right, weights)
     live = replace(lw, w_smooth=cfg.smooth_at(i))
     total, report = total_loss(Tensor(left), Tensor(right), d_l, d_r, live, margin)
     if not all(np.isfinite(v) for v in astuple(report)):
@@ -312,12 +301,13 @@ def default_margin(config: NetConfig) -> int:
 def check_crop(net: NetConfig, cfg: TrainConfig, margin: int) -> None:
     """Refuse a training crop that the network or the loss margin cannot take.
 
-    The crop must divide into the network's scales, be wider than the
-    disparity range, and leave columns inside the border margin.
+    The crop must cover the losses' 3x3 window, be wider than the disparity
+    range and leave columns inside the border margin.  Its size need not
+    divide into the network's scales: ``network.forward`` owns the frame policy.
     """
-    ch, cw, sf = cfg.crop_height, cfg.crop_width, net.scale_factor
-    if ch % sf or cw % sf:
-        raise ValueError(f"crop {ch}x{cw} must be divisible by {sf}")
+    ch, cw = cfg.crop_height, cfg.crop_width
+    if min(ch, cw) < 3:
+        raise ValueError(f"crop {ch}x{cw} is smaller than the losses' 3x3 window")
     if net.disparity_range >= cw:
         raise ValueError(f"disparity_range {net.disparity_range} must be < crop width {cw}")
     if not 0 <= margin < cw:
@@ -366,7 +356,7 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
 def infer(weights: NetworkWeights, pair: StereoPair) -> tuple[np.ndarray, np.ndarray]:
     """Predict both disparity maps at any input size, without recording."""
     with no_grad():
-        d_l, d_r = _forward_frame(weights, pair.left, pair.right)
+        d_l, d_r = forward(pair.left, pair.right, weights)
     return d_l.data, d_r.data
 
 

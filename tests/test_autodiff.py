@@ -1,4 +1,4 @@
-"""Tensor engine: forward semantics, backward rules, the dead-code guard."""
+"""Tensor engine: forward semantics, backward rules, the dead-code and frame-policy guards."""
 
 import ast
 import tracemalloc
@@ -325,6 +325,17 @@ def test_every_public_op_is_called():
                 used.add(node.name)
     unused = sorted(defined - implicit - allowed - used)
     assert not unused, f"nothing in src/sssm or perfbench calls {unused}"
+
+
+def test_only_network_reads_the_scale_factor():
+    """Frame-policy guard: ``network.forward`` pads a frame to the network's
+    scales and crops its maps back, so no other module in ``src/sssm`` reads
+    ``scale_factor`` to pad, crop or refuse a frame size itself."""
+    root = Path(__file__).resolve().parents[1] / "src" / "sssm"
+    readers = sorted(path.name for path in root.glob("*.py")
+                     if any(isinstance(node, ast.Attribute) and node.attr == "scale_factor"
+                            for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == ["network.py"]
 
 
 def test_every_op_of_a_training_step_has_its_own_oracle(monkeypatch):

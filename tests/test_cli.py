@@ -23,6 +23,13 @@ max_iterations = 2
 """
 
 
+def micro_cfg_with(line):
+    """MICRO_CFG with ``line`` in place of its own line for the same key: a key given twice is refused."""
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in MICRO_CFG.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def run_cli(*argv, **kw):
     return subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=600, **kw)
 
@@ -268,7 +275,7 @@ class TestTrainFlow:
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("crop_width = 30", "crop 16x30 must be divisible by 4"),
+        ("crop_height = 2", "crop 2x32 is smaller than the losses' 3x3 window"),
         ("disparity_range = 32", "disparity_range 32 must be < crop width 32"),
         ("border_margin = 32", "border_margin 32 must be in [0, 32)"),
     ])
@@ -277,7 +284,7 @@ class TestTrainFlow:
         # Refused both into a fresh --out and on a resume into an existing run,
         # whose run_config.txt must keep describing the run that happened.
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(MICRO_CFG + line + "\n")
+        cfg.write_text(micro_cfg_with(line))
         fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
         resumed.mkdir()
         for name in ("loss_log.csv", "run_config.txt", "weights.sssmw"):
@@ -291,6 +298,17 @@ class TestTrainFlow:
             assert message in result.stderr
         assert not fresh.exists()
         assert {p.name: p.read_bytes() for p in resumed.iterdir()} == before
+
+    def test_crop_indivisible_by_the_scales_trains(self, micro_env, tmp_path):
+        # 30 is no multiple of 2^restdm_scales = 4: forward pads each crop and crops its maps
+        cfg = tmp_path / "crop.cfg"
+        cfg.write_text(micro_cfg_with("crop_width = 30"))
+        out = tmp_path / "out"
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(cfg), "--seed", "0")
+        assert result.returncode == 0, result.stderr
+        rows = (out / "loss_log.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == ["0", "1"]
 
 
 class TestInferEvalFlow:

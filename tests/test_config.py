@@ -54,6 +54,12 @@ class TestParse:
         with pytest.raises(ValueError, match="config:2"):
             parse_run_config("feature_dim = 8\nnope = 1\n")
 
+    @pytest.mark.parametrize("key", ["learning_rate", "border_margin"])
+    def test_key_given_twice_is_refused_naming_both_lines(self, key):
+        text = f"{key} = 5\nseed = 1\n{key} = 1\n"
+        with pytest.raises(ValueError, match=f"config:3: '{key}' is already set on line 1"):
+            parse_run_config(text)
+
     def test_bad_value_is_hard_error(self):
         with pytest.raises(ValueError, match="bad value 'eight'"):
             parse_run_config("feature_dim = eight\n")

@@ -295,7 +295,8 @@ class TestResTdm:
                   for _ in range(2))
         with no_grad():
             costs = res_tdm(f1, f2, LEFT_TO_RIGHT, w)
-        assert costs.data.shape == (8, 8, 8)
+        # the depth runs padded to 8 inside, and the costs are cropped to D+1 slices
+        assert costs.data.shape == (8, 8, MICRO.disparity_range + 1)
         np.testing.assert_array_equal(costs.data, 0.0)
 
     def test_rejects_indivisible_dims(self):
@@ -380,13 +381,26 @@ class TestForward:
                              rng.uniform(0, 1, (8, 32, 3)).astype(np.float32), w)
         assert d_l.data.shape == (8, 32)
 
-    def test_rejects_indivisible_or_mismatched_inputs(self):
+    @pytest.mark.parametrize("h, w", [(15, 31), (9, 32)], ids=["15x31", "9x32"])
+    def test_indivisible_frame_is_edge_padded_and_cropped_back(self, h, w):
+        weights = init_weights(NetConfig.toy(), seed=0)
+        rng = np.random.default_rng(3)
+        i_l, i_r = (rng.uniform(0, 1, (h, w, 3)).astype(np.float32) for _ in range(2))
+        pads = ((0, -h % 4), (0, -w % 4), (0, 0))
+        with no_grad():
+            maps = forward(i_l, i_r, weights)
+            padded = forward(np.pad(i_l, pads, mode="edge"), np.pad(i_r, pads, mode="edge"), weights)
+        for d, ref in zip(maps, padded):
+            assert d.data.shape == (h, w)
+            np.testing.assert_array_equal(d.data, ref.data[:h, :w])
+
+    def test_rejects_mismatched_or_grad_taking_inputs(self):
         w = init_weights(NetConfig.toy(), seed=0)
         good = np.zeros((8, 32, 3), np.float32)
-        with pytest.raises(ValueError):
-            forward(np.zeros((9, 32, 3), np.float32), np.zeros((9, 32, 3), np.float32), w)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vs right"):
             forward(good, np.zeros((8, 36, 3), np.float32), w)
+        with pytest.raises(ValueError, match="takes a gradient"):
+            forward(Tensor(good, requires_grad=True), good, w)
 
     def test_train_step_never_allocates_a_volume(self, monkeypatch):
         """Neither a single block nor any op's rise of the traced peak, in a

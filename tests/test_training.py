@@ -522,11 +522,6 @@ class TestTrainFromScratch:
         with pytest.raises(ValueError, match="empty"):
             train_from_scratch([], init_weights(MICRO), _micro_cfg())
 
-    def test_rejects_indivisible_crop(self):
-        with pytest.raises(ValueError, match="divisible"):
-            train_from_scratch(_micro_pairs(), init_weights(MICRO),
-                               _micro_cfg(crop_height=10, crop_width=32))
-
     def test_rejects_crop_narrower_than_range(self):
         with pytest.raises(ValueError, match="disparity_range"):
             train_from_scratch(_micro_pairs(h=16, w=32), init_weights(MICRO),
@@ -605,9 +600,8 @@ class TestOnlineAdapt:
         assert np.abs(results[1].d_left - frozen_second).max() > 0
 
     def test_one_forward_per_frame_learns_on_the_whole_frame(self, monkeypatch):
-        # 15x33 is not a multiple of the scale factor: the frame is padded
-        # for the one forward, and both the emitted maps and the loss cover
-        # exactly the frame.
+        # 15x33 is not a multiple of the scale factor: forward pads the frame
+        # itself, and both the emitted maps and the loss cover exactly the frame.
         import sssm.training as training_mod
 
         calls = []
@@ -630,7 +624,7 @@ class TestOnlineAdapt:
                                        Tensor(result.d_right),
                                        dataclasses.replace(lw, w_smooth=cfg.smooth_at(i)), margin)
             assert result.report == report
-        assert calls == [(16, 36, 3)] * 3
+        assert calls == [(15, 33, 3)] * 3
 
     @pytest.mark.parametrize("margin, direct", [
         pytest.param(None, False, id="None"),
