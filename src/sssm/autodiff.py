@@ -14,15 +14,15 @@ captures is an array that already exists (a parent's or its own output)
 or a bit mask, never a padded or restacked copy: backward rebuilds such
 layouts from the array it holds.  An array then dies as soon as the
 caller drops its last Tensor, unless backward reads it: ``relu`` keeps
-its output's sign as one bit per element, ``exp`` its output, a conv its
-input, and ``add``, ``reshape``, ``crop`` and ``mean_pool3x3`` (whose box
-is its own adjoint) keep nothing.  A segment run through ``checkpoint``
-holds only its inputs, the input array and each parameter's array and
-node: none of its activations exist between forward and backward, because
-backward rebuilds them by running the segment again.  Because
-closures share the arrays they hold, a wrapped array is never mutated in
-place while a graph reads it: the optimiser updates parameters only after
-backward, and gradcheck probes coordinates only under ``no_grad``.
+its output's sign as one bit per element, a conv its input, and ``add``,
+``reshape``, ``crop`` and ``mean_pool3x3`` (whose box is its own adjoint)
+keep nothing.  A segment run through ``checkpoint`` holds only its
+inputs, the input array and each parameter's array and node: none of its
+activations exist between forward and backward, because backward
+rebuilds them by running the segment again.  Because closures share the
+arrays they hold, a wrapped array is never mutated in place while a graph
+reads it: the optimiser updates parameters only after backward, and
+gradcheck probes coordinates only under ``no_grad``.
 ``make_op`` wraps the result and links the parents' nodes.
 
 Ops are called by name (``add``, ``mul``, ...); ``Tensor`` has no operator
@@ -319,16 +319,6 @@ def abs_(a: Tensor) -> Tensor:
     return make_op(np.abs(a.data), (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    sa = sink(a)
-
-    def bwd(g):
-        accumulate(sa, g * out_data)
-
-    return make_op(out_data, (a,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at 0 is 0.
 
@@ -365,25 +355,15 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
     return make_op(a.data + a.data.dtype.type(s), (a,), bwd)
 
 
-def mean_reduce(a: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over all elements (axis=None, scalar result) or one axis (removed)."""
-    if axis is not None:
-        axis = int(axis)
-        if not -a.data.ndim <= axis < a.data.ndim:
-            raise ValueError(f"mean_reduce: axis {axis} out of range for shape {a.data.shape}")
-        axis = axis % a.data.ndim
-    shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
-    out_data = a.data.mean(axis=axis)
-    if axis is None:
-        out_data = np.asarray(out_data, dtype=a.data.dtype)
+def mean_reduce(a: Tensor) -> Tensor:
+    """Mean over all elements, as a scalar of ``a``'s dtype."""
+    shape, n = a.data.shape, a.data.size
     sa = sink(a)
 
     def bwd(g):
-        g = g / n
-        accumulate(sa, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape))
+        accumulate(sa, np.broadcast_to(g / n, shape))
 
-    return make_op(out_data, (a,), bwd)
+    return make_op(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

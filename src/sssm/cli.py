@@ -39,9 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True, checkpoint=False, out=True):
-        if manifest:
-            p.add_argument("--manifest", required=True, help="dataset manifest file")
+    def single_thread(p):
+        p.add_argument("--single-thread", action="store_true",
+                       help="pin BLAS/OpenMP to one thread for bitwise reproducibility")
+
+    def common(p, checkpoint=False, out=True):
+        """The flags of a run over a manifest: train, adapt, infer and eval."""
+        p.add_argument("--manifest", required=True, help="dataset manifest file")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="checkpoint file (SSSMW2: weights, RMSProp state, iteration)")
@@ -49,12 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="key = value run config file")
         p.add_argument("--toy", action="store_true", help="desk-scale preset (small net, 64x128 crops)")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--single-thread", action="store_true",
-                       help="pin BLAS/OpenMP to one thread for bitwise reproducibility")
+        single_thread(p)
 
     p = sub.add_parser("train", help="optimise from random weights (or resume a checkpoint)")
     common(p)
+    p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--checkpoint", help="checkpoint to write, and to resume from when it exists "
                    "(default: OUT/weights.sssmw)")
     p.add_argument("--iterations", type=int, help="override max iterations")
@@ -72,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional directory for eval.csv")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with exact ground truth")
-    common(p, manifest=False)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="dataset seed")
+    single_thread(p)
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--height", type=int, default=96)
     p.add_argument("--width", type=int, default=160)
@@ -81,22 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference oracles for every differentiable op")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--single-thread", action="store_true")
+    single_thread(p)
     return parser
 
 
 def _load_config(args):
-    from dataclasses import replace
-
     from .config import RunConfig, load_run_config
 
-    cfg = RunConfig.toy() if getattr(args, "toy", False) else RunConfig.default()
-    if getattr(args, "config", None):
-        cfg = load_run_config(args.config, base=cfg)
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=seed))
-    return cfg
+    cfg = RunConfig.toy() if args.toy else RunConfig.default()
+    return load_run_config(args.config, base=cfg) if args.config else cfg
 
 
 def _margin(cfg) -> int:
@@ -120,7 +118,7 @@ def _load_trained(args):
 
     cfg = _load_config(args)
     manifest = DatasetManifest.load(args.manifest)
-    weights = init_weights(cfg.net, seed=cfg.train.seed)
+    weights = init_weights(cfg.net)  # every value is replaced by the checkpoint's
     load_checkpoint(_require_file(args.checkpoint, "checkpoint"), weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,8 +134,8 @@ def _cmd_train(args) -> int:
     from .training import _log_prefix, check_crop, load_checkpoint, train_from_scratch
 
     cfg = _load_config(args)
-    if args.iterations is not None:
-        cfg = replace(cfg, train=replace(cfg.train, max_iterations=args.iterations))
+    flags = {"seed": args.seed, "max_iterations": args.iterations}
+    cfg = replace(cfg, train=replace(cfg.train, **{k: v for k, v in flags.items() if v is not None}))
     check_crop(cfg.net, cfg.train, _margin(cfg))
     out = Path(args.out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "weights.sssmw"
@@ -238,8 +236,7 @@ def _cmd_eval(args) -> int:
 def _cmd_synth(args) -> int:
     from .synth import write_dataset
 
-    seed = args.seed if args.seed is not None else 0
-    manifest = write_dataset(args.out, args.count, seed, args.height, args.width, args.field)
+    manifest = write_dataset(args.out, args.count, args.seed, args.height, args.width, args.field)
     print(f"wrote {args.count} pairs; manifest at {manifest}")
     return 0
 

@@ -183,12 +183,8 @@ def read_pfm(path) -> np.ndarray:
     if not (np.isfinite(scale) and scale):
         # the scale token ends one whitespace byte before the payload
         raise ParseError(path, f"bad PFM scale {tokens[3]!r}", at - 1 - len(tokens[3]))
-    payload = buf[at:]
-    need = 4 * w * h
-    if len(payload) < need:
-        raise ParseError(path, f"payload needs {need} bytes, found {len(payload)}", len(buf))
     dtype = "<f4" if scale < 0 else ">f4"
-    rows = np.frombuffer(payload[:need], dtype=dtype).reshape(h, w)
+    rows = np.frombuffer(_payload(path, buf, at, 4 * w * h), dtype=dtype).reshape(h, w)
     return np.flipud(rows).astype(np.float32)
 
 

@@ -229,16 +229,22 @@ def unary_loss(observed: Tensor, reconstructed: Tensor, weights: LossWeights,
 def smoothness_loss(disparity: Tensor, image: Tensor, side: str = "l", margin: int = 0) -> Tensor:
     """Second-order disparity smoothness, relaxed across image edges.
 
-    Exactly zero for affine disparity fields: their second differences
-    vanish identically, independent of the edge weights.
+    The edge weights exp(-|second difference of the gray image|) come from
+    the image's values, so only ``disparity`` is differentiated; an image
+    that takes a gradient is refused.  Exactly zero for affine disparity
+    fields: their second differences vanish identically, independent of
+    the edge weights.
     """
     if disparity.data.ndim != 2:
         raise ValueError(f"smoothness_loss: expected (H, W) disparity, got {disparity.data.shape}")
-    gray = ad.mean_reduce(image, axis=2)
+    if image.requires_grad:
+        raise ValueError("smoothness_loss: image takes a gradient, which the edge weights do not pass on; "
+                         "pass its values")
+    gray = Tensor(image.data.mean(axis=2))
     pixel = None
     for axis in ("u", "v"):
         curvature = ad.abs_(ad.spatial_gradients(disparity, 2, axis))
-        edge = ad.exp(ad.scale(ad.abs_(ad.spatial_gradients(gray, 2, axis)), -1.0))
+        edge = Tensor(np.exp(-np.abs(ad.spatial_gradients(gray, 2, axis).data)))
         term = ad.mul(curvature, edge)
         pixel = term if pixel is None else ad.add(pixel, term)
     return _masked_mean(pixel, side, margin)

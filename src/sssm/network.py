@@ -27,34 +27,28 @@ from .convops import _correlate, _correlate_input, _correlate_weight, _grid, cha
 
 LEFT_TO_RIGHT = "lr"
 RIGHT_TO_LEFT = "rl"
+SKIP_EVERY = 3  # feature-tower layers per identity skip
 
 
 @dataclass
 class NetConfig:
     """Architecture hyperparameters.
 
+    The feature tower is the paper's: 3x3 convs with an identity skip every
+    ``SKIP_EVERY`` layers, so ``feature_layers`` is a multiple of it.
     Defaults are full scale; ``toy()`` is the desk-scale preset used by the
     convergence and adaptation flows.
     """
 
     feature_layers: int = 18
     feature_dim: int = 64
-    kernel: int = 3
-    skip_every: int = 3
     disparity_range: int = 160
     restdm_scales: int = 4
 
     def __post_init__(self):
-        if self.feature_layers < 1:
-            raise ValueError("feature_layers must be >= 1")
-        if self.skip_every < 1:
-            raise ValueError("skip_every must be >= 1")
-        if self.feature_layers % self.skip_every != 0:
-            raise ValueError(
-                f"feature_layers ({self.feature_layers}) must be divisible by skip_every ({self.skip_every})"
-            )
-        if self.kernel < 1 or self.kernel % 2 != 1:
-            raise ValueError("kernel extent must be odd and >= 1")
+        if self.feature_layers < 1 or self.feature_layers % SKIP_EVERY:
+            raise ValueError(f"feature_layers must be a positive multiple of {SKIP_EVERY}, "
+                             f"got {self.feature_layers}")
         if self.feature_dim < 1 or self.disparity_range < 1 or self.restdm_scales < 1:
             raise ValueError("feature_dim, disparity_range and restdm_scales must be >= 1")
 
@@ -88,11 +82,10 @@ def init_weights(config: NetConfig, seed: int = 0, dtype=np.float32) -> NetworkW
     """Seeded fan-in-scaled uniform init; biases start at zero."""
     rng = np.random.default_rng(seed)
     arrays = {}
-    k, f = config.kernel, config.feature_dim
+    f = config.feature_dim
     cin = 3
     for j in range(1, config.feature_layers + 1):
-        shape = (k, k, cin, f)
-        arrays[f"feat/l{j:02d}/w"] = _he_uniform(rng, shape, k * k * cin, dtype)
+        arrays[f"feat/l{j:02d}/w"] = _he_uniform(rng, (3, 3, cin, f), 9 * cin, dtype)
         arrays[f"feat/l{j:02d}/b"] = np.zeros(f, dtype=dtype)
         cin = f
     cin3 = 2 * f
@@ -110,27 +103,26 @@ def init_weights(config: NetConfig, seed: int = 0, dtype=np.float32) -> NetworkW
 
 
 def extract_features(image: Tensor, weights: NetworkWeights) -> Tensor:
-    """Shared feature tower: 3x3 convs with ReLU, identity skip every block.
+    """Shared feature tower: 3x3 convs with ReLU, an identity skip every
+    ``SKIP_EVERY`` layers.
 
-    The first block has no skip (its input is the 3-channel image, the
-    output has feature_dim channels).  Output is (H, W, feature_dim).
-    Called directly, it records every conv and relu; ``forward`` runs it
-    through ``autodiff.checkpoint``, which records one node per view and
-    runs the tower again in backward.
+    The first block of ``SKIP_EVERY`` layers has no skip (its input is the
+    3-channel image, the output has feature_dim channels).  Output is
+    (H, W, feature_dim).  Called directly, it records every conv and relu;
+    ``forward`` runs it through ``autodiff.checkpoint``, which records one
+    node per view and runs the tower again in backward.
     """
     cfg = weights.config
     if image.data.ndim != 3 or image.data.shape[2] != 3:
         raise ValueError(f"extract_features: expected (H, W, 3) image, got shape {image.data.shape}")
-    if min(image.data.shape[:2]) < cfg.kernel:
-        raise ValueError(
-            f"extract_features: image {image.data.shape[:2]} smaller than kernel {cfg.kernel}"
-        )
+    if min(image.data.shape[:2]) < 3:
+        raise ValueError(f"extract_features: image {image.data.shape[:2]} smaller than the 3x3 kernel")
     params = weights.params
     x = image
     anchor = None
     for j in range(1, cfg.feature_layers + 1):
         x = ad.relu(conv2d(x, params[f"feat/l{j:02d}/w"], params[f"feat/l{j:02d}/b"]))
-        if j % cfg.skip_every == 0:
+        if j % SKIP_EVERY == 0:
             if anchor is not None:
                 x = ad.add(x, anchor)
             anchor = x

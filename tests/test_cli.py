@@ -14,7 +14,6 @@ CLI = [sys.executable, "-m", "sssm.cli"]
 MICRO_CFG = """
 feature_layers = 3
 feature_dim = 4
-skip_every = 3
 disparity_range = 4
 restdm_scales = 2
 crop_height = 16
@@ -68,6 +67,22 @@ class TestUsageErrors:
         result = run_cli("infer", "--checkpoint", "w.bin", "--out", "/tmp/x")
         assert result.returncode == 2
         assert "--manifest" in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["adapt", "--manifest", "m", "--checkpoint", "w", "--seed", "0"],
+        ["infer", "--manifest", "m", "--checkpoint", "w", "--seed", "0"],
+        ["eval", "--manifest", "m", "--pred", "p", "--seed", "0"],
+        ["synth", "--toy"],
+        ["synth", "--config", "x"],
+    ], ids=["adapt-seed", "infer-seed", "eval-seed", "synth-toy", "synth-config"])
+    def test_flag_that_would_change_nothing_exits_2(self, argv, tmp_path):
+        # adapt, infer and eval load every weight from the checkpoint, so a
+        # seed has nothing to seed; synth reads no run config
+        out = tmp_path / "out"
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+        assert not out.exists()
 
     def test_help_exits_0(self):
         result = run_cli("--help")
@@ -128,6 +143,15 @@ class TestRuntimeErrors:
 
 
 class TestSynth:
+    def test_seed_selects_the_dataset(self, tmp_path):
+        images = {}
+        for name, seed in (("a", "1"), ("b", "1"), ("c", "2")):
+            result = run_cli("synth", "--out", str(tmp_path / name), "--count", "1",
+                             "--height", "8", "--width", "12", "--seed", seed)
+            assert result.returncode == 0, result.stderr
+            images[name] = (tmp_path / name / "0000_right.ppm").read_bytes()
+        assert images["a"] == images["b"] != images["c"]
+
     def test_writes_dataset(self, micro_env):
         data = micro_env / "data"
         assert (data / "manifest.txt").is_file()
@@ -148,6 +172,14 @@ class TestTrainFlow:
         assert len(log) == 3  # header + 2 iterations
         assert log[0].startswith("iteration,lr,total")
         assert "feature_layers = 3" in (run / "run_config.txt").read_text()
+
+    def test_seed_flag_sets_the_run_seed(self, micro_env, tmp_path):
+        out = tmp_path / "seeded"
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                         "--iterations", "1", "--seed", "7")
+        assert result.returncode == 0, result.stderr
+        assert "seed = 7" in (out / "run_config.txt").read_text().splitlines()
 
     def test_train_resumes_from_existing_checkpoint(self, micro_env, tmp_path):
         out2 = tmp_path / "resumed"

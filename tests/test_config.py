@@ -50,6 +50,12 @@ class TestParse:
         with pytest.raises(ValueError, match="unknown config key 'feature_dims'"):
             parse_run_config("feature_dims = 8\n")
 
+    @pytest.mark.parametrize("line", ["kernel = 3", "skip_every = 3"])
+    def test_tower_shape_keys_of_older_run_configs_are_unknown(self, line):
+        # the tower is 3x3 convs with a skip every three layers, not a setting
+        with pytest.raises(ValueError, match=f"unknown config key '{line.split()[0]}'"):
+            parse_run_config(f"feature_dim = 8\n{line}\n")
+
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ValueError, match="config:2"):
             parse_run_config("feature_dim = 8\nnope = 1\n")
@@ -80,12 +86,9 @@ class TestParse:
         # Validation lives in the dataclasses, so a config that parses but
         # violates an invariant still fails loudly.
         with pytest.raises(ValueError):
-            parse_run_config("feature_layers = 7\nskip_every = 3\n")
+            parse_run_config("feature_layers = 7\n")
 
     @pytest.mark.parametrize("line", [
-        "skip_every = 0",
-        "skip_every = -3",
-        "kernel = -1",
         "learning_rate = nan",
         "learning_rate = inf",
         "dropped_learning_rate = -inf",
@@ -134,7 +137,7 @@ class TestFiles:
 
 class TestKeys:
     KEYS = [
-        "feature_layers", "feature_dim", "kernel", "skip_every", "disparity_range", "restdm_scales",
+        "feature_layers", "feature_dim", "disparity_range", "restdm_scales",
         "learning_rate", "dropped_learning_rate", "lr_drop_iteration", "max_iterations",
         "crop_height", "crop_width", "smooth_scratch", "smooth_converged",
         "smooth_switch_iteration", "seed", "checkpoint_every",
@@ -154,5 +157,5 @@ class TestKeys:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
         documented = set(re.findall(r"`(\w+)`", section))
-        assert set(self.emitted_keys(RunConfig.default())) <= documented
-        assert "w_smooth" not in documented
+        # exactly the keys a run directory records, plus the optional one
+        assert documented == set(self.emitted_keys(RunConfig.default())) | {"border_margin"}

@@ -235,9 +235,12 @@ class TestPfm:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "d.pfm"
-        path.write_bytes(b"Pf\n2 2\n-1.0\n" + bytes(8))
-        with pytest.raises(imageio.ParseError):
+        header = b"Pf\n2 2\n-1.0\n"
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(imageio.ParseError, match="payload needs 16 bytes, found 8") as exc:
             imageio.read_pfm(path)
+        # as for the PNM readers: where reading stopped, the end of the short file
+        assert exc.value.offset == len(header) + 8
 
 
 class TestCheckpoint:

@@ -188,6 +188,13 @@ class TestSmoothnessLoss:
         d = t64(rng.uniform(0, 5, (6, 8)))
         assert smoothness_loss(d, t64(random_image(16, 6, 8))).item() >= 0.0
 
+    def test_rejects_an_image_that_takes_a_gradient(self):
+        # the edge weights are computed from the image's values, so no
+        # gradient could reach it
+        d = t64(np.ones((6, 8)), requires_grad=True)
+        with pytest.raises(ValueError, match="smoothness_loss: image takes a gradient"):
+            smoothness_loss(d, t64(random_image(17, 6, 8), requires_grad=True))
+
 
 class TestLoopConsistency:
     def test_zero_disparities_zero_loss(self):

@@ -23,15 +23,14 @@ from sssm.network import (
 )
 from sssm.convops import conv3d
 
-MICRO = NetConfig(feature_layers=3, feature_dim=4, skip_every=3,
-                  disparity_range=4, restdm_scales=2)
+MICRO = NetConfig(feature_layers=3, feature_dim=4, disparity_range=4, restdm_scales=2)
 
 
 class TestNetConfig:
     def test_defaults(self):
         cfg = NetConfig()
-        assert (cfg.feature_layers, cfg.feature_dim, cfg.kernel) == (18, 64, 3)
-        assert (cfg.skip_every, cfg.disparity_range, cfg.restdm_scales) == (3, 160, 4)
+        assert (cfg.feature_layers, cfg.feature_dim) == (18, 64)
+        assert (cfg.disparity_range, cfg.restdm_scales) == (160, 4)
         assert cfg.scale_factor == 16
 
     def test_toy_preset(self):
@@ -40,12 +39,8 @@ class TestNetConfig:
         assert cfg.scale_factor == 4
 
     def test_layers_must_divide_by_skip(self):
-        with pytest.raises(ValueError):
-            NetConfig(feature_layers=7, skip_every=3)
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            NetConfig(kernel=4)
+        with pytest.raises(ValueError, match="multiple of 3"):
+            NetConfig(feature_layers=7)
 
 
 class TestInitWeights:

@@ -28,8 +28,7 @@ from sssm.training import (
     train_step,
 )
 
-MICRO = NetConfig(feature_layers=3, feature_dim=4, skip_every=3,
-                  disparity_range=4, restdm_scales=2)
+MICRO = NetConfig(feature_layers=3, feature_dim=4, disparity_range=4, restdm_scales=2)
 
 
 def _micro_cfg(**kw) -> TrainConfig:
@@ -157,8 +156,7 @@ class TestCheckpointIo:
         path = tmp_path / "w.bin"
         _save(path, init_weights(MICRO, seed=0))
         fatter = init_weights(
-            NetConfig(feature_layers=3, feature_dim=8, skip_every=3,
-                      disparity_range=4, restdm_scales=2), seed=0)
+            NetConfig(feature_layers=3, feature_dim=8, disparity_range=4, restdm_scales=2), seed=0)
         with pytest.raises(ValueError):
             load_checkpoint(path, fatter)
 
