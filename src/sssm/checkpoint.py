@@ -19,6 +19,7 @@ a crash mid-write leaves the previous file whole.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -88,7 +89,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         dtype = DTYPES[tag]
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)
         data = np.frombuffer(take(dtype.itemsize * count, f"payload of {name!r}"), dtype=dtype)
         if name in out:
             raise ValueError(f"{path}: duplicate record {name!r}")

@@ -147,7 +147,7 @@ def _cmd_train(args) -> int:
     pairs = DatasetManifest.load(args.manifest).load_all()
     log_path = out / "loss_log.csv"
     if opt is not None and opt.iteration and log_path.is_file():
-        _log_prefix(log_path, opt.iteration)  # refuses a foreign header
+        _log_prefix(log_path, opt.iteration)  # refuses a foreign header or row
     # Nothing is written before the crop, the resume, the dataset and the log have been checked.
     out.mkdir(parents=True, exist_ok=True)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -160,36 +160,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _adapt_stream(manifest, iterations):
-    index = 0
-    while iterations is None or index < iterations:
-        if iterations is None and index >= len(manifest):
-            return
-        yield manifest.load_pair(index % len(manifest))
-        index += 1
-
-
 def _cmd_adapt(args) -> int:
     from .imageio import write_pfm
-    from .training import LossLog, OptimizerState, online_adapt, save_checkpoint
+    from .training import LossLog, online_adapt
 
     if args.iterations is not None and args.iterations < 1:
         raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
     cfg, manifest, weights, out = _load_trained(args)
-    opt = OptimizerState.fresh(weights)
+    steps = args.iterations or len(manifest)
+    stream = (manifest.load_pair(i % len(manifest)) for i in range(steps))
+    adapted = out / "adapted.sssmw"
     logger = LossLog(out / "adapt_log.csv")
-    stream = _adapt_stream(manifest, args.iterations)
-    steps = 0
     try:
-        for result in online_adapt(weights, stream, cfg.train, cfg.loss, opt=opt, margin=_margin(cfg)):
+        for result in online_adapt(weights, stream, cfg.train, cfg.loss, margin=_margin(cfg),
+                                   loss_log=logger, checkpoint_path=adapted):
             write_pfm(out / f"{result.index:04d}_dl.pfm", result.d_left)
             write_pfm(out / f"{result.index:04d}_dr.pfm", result.d_right)
-            logger.record(result.index, cfg.train.lr_at(result.index), result.report)
-            steps += 1
     finally:
         logger.close()
-    adapted = out / "adapted.sssmw"
-    save_checkpoint(adapted, weights, opt)
     print(f"adapted over {steps} pairs; weights at {adapted}")
     return 0
 

@@ -107,11 +107,10 @@ class DatasetManifest:
                 if p is not None and not p.is_file():
                     raise FileNotFoundError(str(p))
             lw, lh = imageio.peek_pnm(rec.left_path)[1:3]
-            rw, rh = imageio.peek_pnm(rec.right_path)[1:3]
-            if (lw, lh) != (rw, rh):
-                raise ValueError(
-                    f"{path}:{lineno}: left is {lw}x{lh} but right is {rw}x{rh}"
-                )
+            for side, p in (("right", rec.right_path), ("gt", rec.gt_path)):
+                w, h = imageio.peek_pnm(p)[1:3] if p is not None else (lw, lh)
+                if (w, h) != (lw, lh):
+                    raise ValueError(f"{path}:{lineno}: {side} is {w}x{h} but left is {lw}x{lh}")
             records.append(rec)
         return cls(records, path)
 

@@ -1,8 +1,8 @@
 """Training loops: from-scratch optimisation and online self-adaptation.
 
-One iteration is: sample a pair and a crop, run the network on both views,
-evaluate the warping losses, backpropagate, apply one RMSProp update.
-Batch size is one pair by design.
+One iteration runs the network on one pair's two views, evaluates the
+warping losses, backpropagates and applies one RMSProp update.
+``online_adapt`` is the one loop over them; ``train_from_scratch`` feeds it crops.
 
 ``infer``, ``train_step`` and ``online_adapt`` take frames of any size:
 ``network.forward`` owns the frame policy, so predictions and losses cover
@@ -220,16 +220,19 @@ def train_step(weights: NetworkWeights, left: np.ndarray, right: np.ndarray,
     return report, d_l.data, d_r.data
 
 
-def _crop_pair(pair: StereoPair, rng: np.random.Generator, ch: int, cw: int):
-    h, w = pair.shape
-    if ch > h or cw > w:
-        raise ValueError(f"crop {ch}x{cw} exceeds image {h}x{w}")
-    y0 = int(rng.integers(0, h - ch + 1))
-    x0 = int(rng.integers(0, w - cw + 1))
-    return (
-        np.ascontiguousarray(pair.left[y0:y0 + ch, x0:x0 + cw]),
-        np.ascontiguousarray(pair.right[y0:y0 + ch, x0:x0 + cw]),
-    )
+def _crops(pairs: list[StereoPair], cfg: TrainConfig, opt: OptimizerState):
+    """Seeded crops until cfg.max_iterations, each drawn at opt.iteration as the step before left it."""
+    ch, cw = cfg.crop_height, cfg.crop_width
+    while opt.iteration < cfg.max_iterations:
+        rng = np.random.default_rng((cfg.seed, opt.iteration))
+        pair = pairs[int(rng.integers(len(pairs)))]
+        h, w = pair.shape
+        if ch > h or cw > w:
+            raise ValueError(f"crop {ch}x{cw} exceeds image {h}x{w}")
+        y0 = int(rng.integers(0, h - ch + 1))
+        x0 = int(rng.integers(0, w - cw + 1))
+        yield StereoPair(np.ascontiguousarray(pair.left[y0:y0 + ch, x0:x0 + cw]),
+                         np.ascontiguousarray(pair.right[y0:y0 + ch, x0:x0 + cw]))
 
 
 def _log_prefix(path: Path, iteration: int) -> int:
@@ -237,7 +240,7 @@ def _log_prefix(path: Path, iteration: int) -> int:
 
     The rows from there on were written after the checkpoint a run resumes
     from, as was a row cut short.  A header other than ``LOG_COLUMNS`` is
-    refused.
+    refused, and so is a whole row (or blank line) with no iteration number.
     """
     columns = ",".join(LOG_COLUMNS)
     with open(path, "rb") as fh:
@@ -246,8 +249,12 @@ def _log_prefix(path: Path, iteration: int) -> int:
             raise ValueError(f"{path}: header {header.decode(errors='replace')!r} is not "
                              f"{columns!r}; refusing to append to it")
         end = fh.tell()
-        for line in iter(fh.readline, b""):
-            if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) >= iteration:
+        for lineno, line in enumerate(iter(fh.readline, b""), start=2):
+            field = line.split(b",", 1)[0].rstrip(b"\n")
+            if line.endswith(b"\n") and not field.isdigit():
+                raise ValueError(f"{path}:{lineno}: iteration field {field.decode(errors='replace')!r} "
+                                 "is not an integer; refusing to append to it")
+            if not line.endswith(b"\n") or int(field) >= iteration:
                 break
             end = fh.tell()
     return end
@@ -321,33 +328,19 @@ def train_from_scratch(pairs: list[StereoPair], weights: NetworkWeights, cfg: Tr
     """Optimise from the current weights until cfg.max_iterations.
 
     Starts at opt.iteration (pass a loaded optimizer to resume, which keeps
-    the loss log's earlier rows); writes the loss log incrementally and
-    checkpoints every cfg.checkpoint_every iterations plus at the end when
-    paths are given.
+    the loss log's rows below it); ``online_adapt`` runs the steps on seeded
+    crops and writes the log and the checkpoints when paths are given.
     """
     if not pairs:
         raise ValueError("train_from_scratch: empty dataset")
     margin = default_margin(weights.config) if margin is None else margin
     check_crop(weights.config, cfg, margin)
-    lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
     logger = LossLog(log_path, resume_at=opt.iteration)
     try:
-        while opt.iteration < cfg.max_iterations:
-            i = opt.iteration
-            rng = np.random.default_rng((cfg.seed, i))
-            pair = pairs[int(rng.integers(len(pairs)))]
-            left, right = _crop_pair(pair, rng, cfg.crop_height, cfg.crop_width)
-            report = train_step(weights, left, right, cfg, lw, opt, margin)[0]
-            logger.record(i, cfg.lr_at(i), report)
-            if i % 100 == 0:
-                log.info("iter %d total %.5f warp %.5f", i, report.total, report.warp_error)
-            done = opt.iteration
-            if checkpoint_path is not None and (
-                done == cfg.max_iterations
-                or (cfg.checkpoint_every and done % cfg.checkpoint_every == 0)
-            ):
-                save_checkpoint(checkpoint_path, weights, opt)
+        for result in online_adapt(weights, _crops(pairs, cfg, opt), cfg, lw, opt, margin,
+                                   logger, checkpoint_path):
+            del result  # as in online_adapt: no step's maps are alive in the next one
     finally:
         logger.close()
     return opt, logger
@@ -373,7 +366,8 @@ class AdaptResult:
 
 def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
                  lw: LossWeights | None = None, opt: OptimizerState | None = None,
-                 margin: int | None = None):
+                 margin: int | None = None, loss_log: LossLog | None = None,
+                 checkpoint_path=None):
     """Self-improving inference: emit predictions, then learn from the pair.
 
     Yields an AdaptResult per input pair from one ``train_step``: the maps
@@ -381,10 +375,27 @@ def online_adapt(weights: NetworkWeights, pairs, cfg: TrainConfig,
     the first result matches plain ``infer`` with the incoming weights and
     with learning rate 0 the whole stream is inference exactly.  The
     warping error, ``report.warp_error``, scores the emitted predictions.
+
+    Each step logs (iteration, ``cfg.lr_at(iteration)``, report) to ``loss_log``;
+    the state goes to ``checkpoint_path`` every ``cfg.checkpoint_every``
+    iterations and after the last step.  A step that raises saves nothing.
     """
     lw = lw or LossWeights()
     opt = opt or OptimizerState.fresh(weights)
     margin = default_margin(weights.config) if margin is None else margin
+    saved = opt.iteration
     for index, pair in enumerate(pairs):
+        i = opt.iteration
         report, d_l, d_r = train_step(weights, pair.left, pair.right, cfg, lw, opt, margin)
+        if loss_log is not None:
+            loss_log.record(i, cfg.lr_at(i), report)
+        if i % 100 == 0:
+            log.info("iter %d total %.5f warp %.5f", i, report.total, report.warp_error)
+        if (checkpoint_path is not None and cfg.checkpoint_every
+                and opt.iteration % cfg.checkpoint_every == 0):
+            save_checkpoint(checkpoint_path, weights, opt)
+            saved = opt.iteration
         yield AdaptResult(index=index, d_left=d_l, d_right=d_r, report=report)
+        del d_l, d_r  # maps the caller does not keep are freed before the next step
+    if checkpoint_path is not None and opt.iteration != saved:
+        save_checkpoint(checkpoint_path, weights, opt)

@@ -334,6 +334,21 @@ def test_only_network_reads_the_scale_factor():
     assert readers == ["network.py"]
 
 
+def test_only_online_adapt_calls_train_step():
+    """One-loop guard: ``online_adapt`` is the only loop over training steps,
+    so the loss-log rows and the checkpoint policy of ``sssm train`` and
+    ``sssm adapt`` come from one place; ``train_from_scratch`` feeds it crops."""
+    root = Path(__file__).resolve().parents[1] / "src" / "sssm"
+    calls = []
+    for path in sorted(root.glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text())):
+            if isinstance(top, ast.FunctionDef):
+                calls += [(path.name, top.name) for node in ast.walk(top)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", getattr(node.func, "attr", None)) == "train_step"]
+    assert calls == [("training.py", "online_adapt")]
+
+
 def test_every_op_of_a_training_step_has_its_own_oracle(monkeypatch):
     """Oracle-coverage guard: every op that a toy ``train_step`` records in
     the graph is also recorded by some ``gradcheck`` oracle other than the

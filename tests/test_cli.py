@@ -296,6 +296,21 @@ class TestTrainFlow:
         assert "loss_log.csv" in result.stderr and "header" in result.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_log_row_without_an_iteration_exits_1_before_writing(self, micro_env, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("loss_log.csv", "run_config.txt", "weights.sssmw"):
+            (out / name).write_bytes((micro_env / "run" / name).read_bytes())
+        lines = (out / "loss_log.csv").read_text().splitlines(keepends=True)
+        (out / "loss_log.csv").write_text(lines[0] + "x1" + lines[1][1:] + "".join(lines[2:]))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        result = run_cli("train", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--out", str(out), "--config", str(micro_env / "micro.cfg"),
+                         "--iterations", "4", "--seed", "0")
+        assert result.returncode == 1
+        assert "loss_log.csv:2: iteration field 'x1' is not an integer" in result.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_negative_border_margin_exits_1_before_writing(self, micro_env, tmp_path):
         cfg = tmp_path / "margin.cfg"
         cfg.write_text(MICRO_CFG + "border_margin = -3\n")
@@ -408,6 +423,22 @@ class TestInferEvalFlow:
             assert (out / f"{i:04d}_dl.pfm").is_file()
         log = (out / "adapt_log.csv").read_text().splitlines()
         assert len(log) == 4
+
+    def test_adapt_checkpoints_every_step_into_one_file(self, micro_env, tmp_path):
+        # checkpoint_every = 1 saves after each of the 3 steps, each time
+        # replacing adapted.sssmw atomically: no temporary file is left
+        cfg = tmp_path / "every1.cfg"
+        cfg.write_text(MICRO_CFG + "checkpoint_every = 1\n")
+        out = tmp_path / "adapted"
+        result = run_cli("adapt", "--manifest", str(micro_env / "data" / "manifest.txt"),
+                         "--checkpoint", str(micro_env / "run" / "weights.sssmw"),
+                         "--out", str(out), "--config", str(cfg), "--iterations", "3")
+        assert result.returncode == 0, result.stderr
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(["adapt_log.csv", "adapted.sssmw",
+                                *(f"{i:04d}_d{s}.pfm" for i in range(3) for s in "lr")])
+        assert checkpoint.load_arrays(out / "adapted.sssmw")["__iteration__"].tolist() == [3]
+        assert len((out / "adapt_log.csv").read_text().splitlines()) == 4
 
     @pytest.mark.parametrize("iterations", ["0", "-3"])
     def test_adapt_rejects_fewer_than_one_iteration_before_writing(self, micro_env, tmp_path,

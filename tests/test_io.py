@@ -1,6 +1,7 @@
 """File format round trips, parse diagnostics, and manifest loading."""
 
 import gc
+import struct
 import warnings
 
 import numpy as np
@@ -328,6 +329,15 @@ class TestCheckpoint:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["w.bin"]
 
+    def test_extents_whose_product_wraps_in_int64_are_a_truncated_payload(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 = 2^64 wraps to 0 in int64; the exact count makes
+        # the missing payload a truncation that names the file and the record
+        path = tmp_path / "w.bin"
+        path.write_bytes(checkpoint.MAGIC + struct.pack("<I", 1) + b"a" + b"f"
+                         + struct.pack("<4I", 3, 2 ** 21, 2 ** 21, 2 ** 22) + b"\0" * 8)
+        with pytest.raises(ValueError, match=r"w\.bin: truncated while reading payload of 'a'"):
+            checkpoint.load_arrays(path)
+
     def test_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "w.bin"
         checkpoint.save_arrays(path, {"x": np.ones(2, dtype=np.float32)})
@@ -400,6 +410,14 @@ class TestManifest:
         mpath = tmp_path / "manifest.txt"
         mpath.write_text("l.ppm r.ppm\n")
         with pytest.raises(ValueError, match="4x4"):
+            DatasetManifest.load(mpath)
+
+    def test_gt_dimension_mismatch_rejected_naming_the_line(self, tmp_path):
+        line = _write_pair(tmp_path, "aa", shape=(24, 40))
+        imageio.write_gt_pgm(tmp_path / "aa_gt.pgm", np.ones((24, 41), dtype=np.float32))
+        mpath = tmp_path / "manifest.txt"
+        mpath.write_text(f"# one pair\n{line} aa_gt.pgm\n")
+        with pytest.raises(ValueError, match="manifest.txt:2: gt is 41x24 but left is 40x24"):
             DatasetManifest.load(mpath)
 
     def test_wrong_field_count_rejected(self, tmp_path):

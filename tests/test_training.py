@@ -624,6 +624,59 @@ class TestOnlineAdapt:
             assert result.report == report
         assert calls == [(15, 33, 3)] * 3
 
+    def test_log_rows_carry_the_iteration_and_its_rate(self, tmp_path):
+        # a state at iteration 5 with the rate dropping at 6: the rows name the
+        # iteration each step ran at and the rate it applied, not the frame index
+        weights = init_weights(MICRO, seed=0)
+        opt = OptimizerState.fresh(weights)
+        opt.iteration = 5
+        path = tmp_path / "adapt.csv"
+        logger = LossLog(path)
+        cfg = _micro_cfg(lr_drop_iteration=6)
+        results = list(online_adapt(weights, _micro_pairs(3), cfg, opt=opt, loss_log=logger))
+        logger.close()
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [(int(r[0]), float(r[1])) for r in rows] == [(5, 1e-3), (6, 1e-4), (7, 1e-4)]
+        assert [r.index for r in results] == [0, 1, 2]
+        assert opt.iteration == 8
+
+    def test_checkpoints_every_k_iterations_and_after_the_last_step(self, tmp_path, monkeypatch):
+        import sssm.training as training_mod
+
+        saved = []
+        save = training_mod.save_checkpoint
+
+        def recording_save(path, w, opt):
+            saved.append(opt.iteration)
+            save(path, w, opt)
+
+        monkeypatch.setattr(training_mod, "save_checkpoint", recording_save)
+        weights = init_weights(MICRO, seed=0)
+        ckpt = tmp_path / "w.sssmw"
+        list(online_adapt(weights, _micro_pairs(3), _micro_cfg(checkpoint_every=2),
+                          checkpoint_path=ckpt))
+        assert saved == [2, 3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.sssmw"]
+        assert load_checkpoint(ckpt, init_weights(MICRO, seed=1)).iteration == 3
+
+    def test_a_step_that_raises_saves_nothing(self, tmp_path, monkeypatch):
+        # the first step runs, the second raises: no end-of-stream checkpoint
+        import sssm.training as training_mod
+
+        step = training_mod.train_step
+
+        def second_raises(weights, left, right, cfg, lw, opt, margin):
+            if opt.iteration == 1:
+                raise RuntimeError("step 1 failed")
+            return step(weights, left, right, cfg, lw, opt, margin)
+
+        monkeypatch.setattr(training_mod, "train_step", second_raises)
+        ckpt = tmp_path / "w.sssmw"
+        with pytest.raises(RuntimeError, match="step 1 failed"):
+            list(online_adapt(init_weights(MICRO, seed=0), _micro_pairs(2), _micro_cfg(),
+                              checkpoint_path=ckpt))
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("margin, direct", [
         pytest.param(None, False, id="None"),
         pytest.param(2, False, id="2"),
@@ -718,6 +771,16 @@ class TestLossLog:
         path.write_text(header + self._row(0) + "1,0.")
         LossLog(path, resume_at=2).close()
         assert path.read_text() == header + self._row(0)
+
+    @pytest.mark.parametrize("line", ["x1,0.5\n", "\n"], ids=["x1", "blank"])
+    def test_resume_refuses_a_row_without_an_iteration_before_writing(self, tmp_path, line):
+        path = tmp_path / "loss.csv"
+        text = ",".join(LOG_COLUMNS) + "\n" + self._row(0) + line + self._row(2)
+        path.write_text(text)
+        field = line.split(",")[0].strip()
+        with pytest.raises(ValueError, match=f"loss.csv:3: iteration field '{field}' is not an integer"):
+            LossLog(path, resume_at=3)
+        assert path.read_text() == text
 
     def test_resume_refuses_another_header_before_writing(self, tmp_path):
         path = tmp_path / "loss.csv"
